@@ -22,9 +22,11 @@ Four claims from the fleet plane are measured and gated:
   is the same size in both modes, so its numbers are shared between the
   ``smoke`` and ``full`` baseline sections.  Exit 2 on divergence.
 * **Throughput** — the full campaign serves >= 10^6 requests, and the
-  host must sustain a floor fraction of the baseline's recorded wall
-  requests/sec (exit 1; wall clock is the only host-dependent number
-  here).
+  host must sustain, for every scheme, a floor fraction of that
+  scheme's recorded wall requests/sec (exit 1; wall clock is the only
+  host-dependent number here).  Schemes are served one after another
+  and timed apart, so a slow ``pssp-owf`` cannot hide behind a fast
+  ``ssp`` in an aggregate.
 
 Usage::
 
@@ -145,21 +147,37 @@ def measure_chaos() -> dict:
 
 
 def measure_campaign(budget: int) -> dict:
-    start = time.perf_counter()
-    report = run_fleet(budget, slice_requests=SLICE_REQUESTS, jobs=2)
-    wall = time.perf_counter() - start
+    """Serve the campaign one scheme at a time, timing each scheme."""
+    summaries, scheme_wall_rps = {}, {}
+    total_requests = lost_slices = audit_divergences = 0
+    wall = 0.0
+    for scheme in DEFAULT_FLEET_SCHEMES:
+        start = time.perf_counter()
+        report = run_fleet(
+            budget, schemes=(scheme,), slice_requests=SLICE_REQUESTS, jobs=2
+        )
+        elapsed = time.perf_counter() - start
+        wall += elapsed
+        total_requests += report.total_requests
+        lost_slices += report.lost_slices
+        audit_divergences += len(report.audit_divergences)
+        summaries[scheme] = report.reports[0].summary()
+        scheme_wall_rps[scheme] = (
+            report.total_requests / elapsed if elapsed else 0.0
+        )
     return {
         "budget_per_scheme": budget,
         "slice_requests": SLICE_REQUESTS,
         "base_seed": DEFAULT_BASE_SEED,
         "schemes": list(DEFAULT_FLEET_SCHEMES),
         "config": TrafficConfig().to_json(),
-        "total_requests": report.total_requests,
-        "lost_slices": report.lost_slices,
-        "audit_divergences": len(report.audit_divergences),
+        "total_requests": total_requests,
+        "lost_slices": lost_slices,
+        "audit_divergences": audit_divergences,
         "wall_seconds": wall,
-        "wall_rps": report.total_requests / wall if wall else 0.0,
-        "summaries": {r.scheme: r.summary() for r in report.reports},
+        "wall_rps": total_requests / wall if wall else 0.0,
+        "scheme_wall_rps": scheme_wall_rps,
+        "summaries": summaries,
     }
 
 
@@ -284,8 +302,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-throughput-ratio", type=float,
         default=DEFAULT_MIN_THROUGHPUT_RATIO,
-        help="required fraction of the baseline's wall requests/sec "
-             f"(default: {DEFAULT_MIN_THROUGHPUT_RATIO})",
+        help="required fraction of each scheme's baseline wall "
+             f"requests/sec (default: {DEFAULT_MIN_THROUGHPUT_RATIO})",
     )
     args = parser.parse_args(argv)
 
@@ -320,7 +338,8 @@ def main(argv=None) -> int:
           f"-> {campaign['wall_rps']:,.0f} req/s wall")
     for scheme, summary in campaign["summaries"].items():
         by_kind = summary["breaches_by_kind"]
-        print(f"    {scheme:10s} detect {summary['detections']:>7,d} "
+        print(f"    {scheme:10s} {campaign['scheme_wall_rps'][scheme]:>7,.0f} "
+              f"req/s detect {summary['detections']:>7,d} "
               f"rate {summary['detection_rate']:.3f} "
               f"ttd {summary['time_to_detection']} "
               f"brute! {by_kind['brute']} leak! {by_kind['leak']}")
@@ -383,14 +402,23 @@ def main(argv=None) -> int:
             print(f"BASELINE DIVERGENCE: {line}", file=sys.stderr)
         if divergences:
             return 2
-        floor = section["campaign"]["wall_rps"] * args.min_throughput_ratio
-        if campaign["wall_rps"] < floor:
-            print(
-                f"THROUGHPUT REGRESSION: {campaign['wall_rps']:,.0f} "
-                f"req/s below {floor:,.0f} "
-                f"({args.min_throughput_ratio:.0%} of baseline)",
-                file=sys.stderr,
-            )
+        recorded_rps = section["campaign"].get("scheme_wall_rps")
+        if recorded_rps is None:
+            print(f"baseline '{mode}' section has no per-scheme wall_rps; "
+                  "regenerate with --no-compare --json", file=sys.stderr)
+            return 2
+        regressions = []
+        for scheme, baseline_rps in recorded_rps.items():
+            floor = baseline_rps * args.min_throughput_ratio
+            measured = campaign["scheme_wall_rps"].get(scheme, 0.0)
+            if measured < floor:
+                regressions.append(
+                    f"{scheme}: {measured:,.0f} req/s below {floor:,.0f} "
+                    f"({args.min_throughput_ratio:.0%} of baseline)"
+                )
+        for line in regressions:
+            print(f"THROUGHPUT REGRESSION: {line}", file=sys.stderr)
+        if regressions:
             return 1
 
     print("fleet campaign gates passed")

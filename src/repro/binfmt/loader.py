@@ -45,13 +45,18 @@ class LoadedImage:
         self._data_symbols: Dict[str, int] = {}
         self._next_code = code_base
         #: Monotonic counter bumped on every code change (new function or
-        #: rewriter patch via ``add_function(replace=True)``).  CPUs key
-        #: their decode caches on this, so stale pre-decoded closures are
-        #: discarded the moment the image is patched.  Loaded ``Function``
-        #: bodies must otherwise be treated as immutable; in-place patches
-        #: must go through :meth:`add_function` (or call
-        #: :meth:`invalidate_code`) to be picked up.
+        #: rewriter patch via ``add_function(replace=True)``).  Decode
+        #: templates and every CPU's bound steps key on this, so stale
+        #: pre-decoded closures are discarded the moment the image is
+        #: patched.  Loaded ``Function`` bodies must otherwise be treated
+        #: as immutable; in-place patches must go through
+        #: :meth:`add_function` (or call :meth:`invalidate_code`) to be
+        #: picked up.
         self.code_generation = 0
+        #: Decode templates shared by every CPU executing this image —
+        #: parent and forked children alike: DBI multiplier →
+        #: :class:`repro.machine.decode.FunctionDecoder`.
+        self.decoders: Dict[float, object] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -89,7 +94,9 @@ class LoadedImage:
         Layout tables are copied (so ``add_function(replace=True)``
         patches stay private to one process), while the immutable
         ``Function`` bodies are shared — the same sharing ``fork``
-        already relies on when parent and child reuse one image.
+        already relies on when parent and child reuse one image.  The
+        twin starts with no decode templates: twins can be patched
+        differently at the same ``code_generation``.
         """
         twin = LoadedImage(self.code_base)
         twin._functions = dict(self._functions)

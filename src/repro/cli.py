@@ -456,6 +456,8 @@ _STATS_COLUMNS = (
     ("rdrand_draws_total", "rdrand"),
     ("canary_smashes_detected_total", "smashes"),
     ("degradations_total", "degraded"),
+    ("decode_templates_built_total", "templates"),
+    ("decode_binds_total", "binds"),
 )
 
 

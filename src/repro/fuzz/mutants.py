@@ -220,15 +220,20 @@ def _install_setup_unbound_shadow() -> Callable[[], None]:
 def _install_decoder_cost_drift() -> Callable[[], None]:
     """The decode cache charges one extra cycle on a function's first
     step — semantics intact, but fast-path accounting drifts off the
-    slow oracle (exactly the bug class PR 1's contract forbids)."""
+    slow oracle (exactly the bug class the fast path's contract forbids).
+
+    The drift is planted in the shared analysis (the template's first
+    step), so every CPU that binds the template — a forked worker
+    included — inherits it.  Templates live on per-process images (a
+    spawn clones an empty table), so none outlives the planted window."""
     original = decode_module.FunctionDecoder.decode
 
     def drifted(self, function):
-        decoded = original(self, function)
-        if decoded.steps:
-            execute, cycles, ticks, kind, next_rip = decoded.steps[0]
-            decoded.steps[0] = (execute, cycles + 1, ticks, kind, next_rip)
-        return decoded
+        template = original(self, function)
+        if template.steps:
+            binder, cycles, ticks, kind, next_rip = template.steps[0]
+            template.steps[0] = (binder, cycles + 1, ticks, kind, next_rip)
+        return template
 
     decode_module.FunctionDecoder.decode = drifted
 

@@ -215,7 +215,10 @@ class Kernel:
         self._next_pid += 1
         # The COW clone below freezes the parent's private pages; drop
         # the parent CPU's compiled superblocks so no JIT code outlives
-        # a memory-sharing boundary (the child's fresh CPU starts cold).
+        # a memory-sharing boundary.  The child shares the parent's
+        # image, and with it the image's decode templates: its fresh CPU
+        # binds each function it runs from the parent's analysis, with
+        # its own (cold) JIT hot counts and superblocks.
         parent.cpu.flush_jit_cache()
         child = Process(
             parent.kernel,
@@ -350,3 +353,4 @@ class Kernel:
     def reap(self, process: Process) -> None:
         """Forget a terminated process (frees its memory on the host)."""
         self.processes.pop(process.pid, None)
+        process.release()

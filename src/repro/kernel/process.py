@@ -225,6 +225,22 @@ class Process:
             self.cpu.instructions_executed - start_instructions,
         )
 
+    def release(self) -> None:
+        """Break the host reference cycles of a reaped process.
+
+        The CPU's bound steps close over the CPU, the CPU points back at
+        its process for natives, and a crash's traceback holds the frames
+        that ran it.  Each is a cycle that only the cycle collector can
+        free, and a forking server leaves one such worker per request.
+        ``Kernel.reap`` calls this so a reaped process is freed by
+        reference counting instead.  Simulated state is untouched, but
+        the process cannot run natives again.
+        """
+        self.cpu.release()
+        self.cpu.process = None
+        if self.crash is not None:
+            self.crash.__traceback__ = None
+
     # -- snapshot -------------------------------------------------------------
 
     def snapshot(self) -> bytes:

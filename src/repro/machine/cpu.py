@@ -34,7 +34,14 @@ from ..isa.costs import instruction_cost
 from ..isa.instructions import Function, Imm, Instruction, Label, Mem, Reg, Sym
 from ..isa.registers import ARG_REGS, RegisterFile
 from . import jit as _jit
-from .decode import CONTROL, SYNC, DecodedFunction, FunctionDecoder
+from .decode import (
+    CONTROL,
+    SYNC,
+    Binding,
+    DecodedFunction,
+    FunctionDecoder,
+    decoder_for,
+)
 from .devices import RdRandDevice, TimeStampCounter
 from .memory import EXIT_ADDRESS, Memory
 
@@ -129,9 +136,11 @@ class CPU:
         #: switches (one ``is not None`` check per switch when absent).
         self.profiler = None
         self._current: Optional[Function] = None
-        #: Decode cache: function name -> DecodedFunction, valid for one
-        #: image generation, one decoder binding, and one telemetry
+        #: Decode cache: function name -> DecodedFunction bound to this
+        #: CPU from the image's shared templates, valid for one image
+        #: generation, one binding, one DBI multiplier and one telemetry
         #: generation (see _decoded).
+        self._binding: Optional[Binding] = None
         self._decoder: Optional[FunctionDecoder] = None
         self._decode_cache: Dict[str, DecodedFunction] = {}
         self._decode_generation: Optional[int] = None
@@ -405,10 +414,24 @@ class CPU:
     # -- decode-cache fast path ------------------------------------------
 
     def flush_decode_cache(self) -> None:
-        """Drop every cached decode (e.g. after mutating code in place)."""
+        """Drop every cached decode (e.g. after mutating code in place):
+        this CPU's bound steps and the image's templates they came from."""
         self.flush_jit_cache()
+        self.release()
+        if self._decoder is not None:
+            self._decoder.clear()
+
+    def release(self) -> None:
+        """Drop this CPU's bound steps, keeping the image's templates.
+
+        Bound closures reference the CPU, so while they are cached the
+        CPU sits in a reference cycle.  ``Process.release`` calls this
+        when a worker is reaped; a later run simply binds again.  (A
+        compiled superblock references its own runner, so a CPU that
+        got hot is still left to the cycle collector.)
+        """
         self._decode_cache.clear()
-        self._decoder = None
+        self._binding = None
 
     def flush_jit_cache(self) -> None:
         """Drop compiled superblocks (and hotness counts), keep decodes.
@@ -436,38 +459,43 @@ class CPU:
             )
 
     def _decoded(self, function: Function) -> DecodedFunction:
-        """Fetch (or build) the decoded form of ``function`` for this CPU.
+        """Fetch (or bind) the decoded form of ``function`` for this CPU.
 
         Invalidation rules: the whole cache is dropped when the image's
-        ``code_generation`` moves (rewriter patched the image), when the
-        decoder's bound register file / memory / DBI multiplier no longer
-        match the CPU's, and a single entry is re-decoded when the image
-        maps the name to a different ``Function`` object.
+        ``code_generation`` or the telemetry generation moves, or when
+        the binding's register file / memory or the decoder's DBI
+        multiplier no longer match the CPU's; a single entry is re-bound
+        when the image maps the name to a different ``Function`` object.
+        A miss binds the template the image's shared decoder holds for
+        the function, analysing it only if no CPU on the image has.
         """
+        binding = self._binding
         decoder = self._decoder
+        generation = self.image.code_generation
+        telemetry_generation = telemetry.generation()
         if (
-            decoder is None
-            or decoder.registers is not self.registers
-            or decoder.memory is not self.memory
+            binding is None
+            or binding.registers is not self.registers
+            or binding.memory is not self.memory
             or decoder.dbi_multiplier != self.dbi_multiplier
+            or generation != self._decode_generation
+            or telemetry_generation != self._decode_telemetry_generation
         ):
-            decoder = self._decoder = FunctionDecoder(self, _DISPATCH)
-            self._decode_cache.clear()
-        generation = getattr(self.image, "code_generation", None)
-        if generation != self._decode_generation:
+            binding = self._binding = Binding(self)
+            decoder = self._decoder = decoder_for(
+                self.image, self.dbi_multiplier, _DISPATCH
+            )
             self._decode_cache.clear()
             self._decode_generation = generation
-        telemetry_generation = telemetry.generation()
-        if telemetry_generation != self._decode_telemetry_generation:
-            # Telemetry flipped state: cached steps may hold stale (or
-            # missing) canary-leader wrappers — re-decode against the
-            # current hooks.
-            self._decode_cache.clear()
             self._decode_telemetry_generation = telemetry_generation
         decoded = self._decode_cache.get(function.name)
         if decoded is None or decoded.function is not function:
-            decoded = decoder.decode(function)
+            decoded = decoder.template(function).bind(binding)
             self._decode_cache[function.name] = decoded
+            telemetry.count(
+                "decode_binds_total",
+                help="decode templates bound to a CPU's registers and memory",
+            )
         return decoded
 
     def _run_loop_fast(self) -> None:

@@ -1,17 +1,43 @@
-"""Decode cache: lower :class:`Function` bodies into pre-bound step closures.
+"""Decode cache: analyse each :class:`Function` once per image, bind it per CPU.
 
 The slow interpreter path re-answers the same questions for every dynamic
 instruction: which handler implements the mnemonic, what it costs, what
-operand kinds it has, and which addresses they resolve to.  For a given
-(CPU, Function) pair almost all of those answers are static, so this
-module answers them once per *static* instruction and captures the result
-in a closure ("step"); the CPU's fast loop then just walks a step list.
+operand kinds it has, and which addresses they resolve to.  Almost all of
+those answers are static, so this module answers them once per *static*
+instruction and captures the result in a closure ("step"); the CPU's fast
+loop then just walks a step list.
+
+Lowering happens in two phases:
+
+* **Analysis** (:meth:`FunctionDecoder.decode`) — once per function per
+  image and DBI multiplier.  It computes each instruction's ``step_cost``,
+  picks its compiler, classifies operand shapes, resolves labels and
+  symbols, and fixes ``kind``, ``next_rip`` and the canary group-leader
+  markers.  The result is a :class:`FunctionTemplate`: per step, a
+  *binder* plus the step's static fields.
+* **Bind** (:meth:`FunctionTemplate.bind`) — once per function per CPU.
+  Each binder is called with the CPU's :class:`Binding` and returns the
+  step closure over that CPU's ``gpr``/``xmm`` dictionaries, register
+  file, memory accessors and the CPU itself.  Binders are purpose-built
+  per step shape, so a bound closure has exactly the shape a one-phase
+  decoder would build and the per-step cost does not change; binding
+  costs one call per step instead of a re-analysis.
+
+Templates live on the :class:`~repro.binfmt.loader.LoadedImage` (one
+:class:`FunctionDecoder` per DBI multiplier in ``image.decoders``), which
+``Kernel.fork`` shares between parent and children, so a forked worker
+binds its parent's analysis instead of redoing it.  A template is valid
+for one ``code_generation`` and one telemetry generation of that image
+and for one ``Function`` object; ``LoadedImage.clone()`` starts with no
+templates, because twins may be patched differently at the same
+generation.  A :class:`DecodedFunction` (the bound form) is only valid
+for the CPU that bound it.
 
 Every step is a 5-tuple ``(execute, cycles, ticks, kind, next_rip)``:
 
 * ``execute()`` — the instruction's semantics, with operand accessors
   (register read/write thunks, pre-computed effective-address components,
-  pre-masked immediates) resolved at decode time;
+  pre-masked immediates) resolved ahead of time;
 * ``cycles``    — the DBI-scaled cycle charge (exactly what
   ``CPU.charge`` would have added to ``CPU.cycles``);
 * ``ticks``     — the matching TSC advance (``int(cycles) or 1``),
@@ -25,10 +51,7 @@ Every step is a 5-tuple ``(execute, cycles, ticks, kind, next_rip)``:
   and return-address pushes observe exactly the same program counter as
   the slow path.
 
-Closures bind a specific CPU's register dictionaries, memory, and image,
-so a :class:`DecodedFunction` is only valid for the CPU that decoded it,
-and only until the loaded image changes — the CPU's cache checks
-``LoadedImage.code_generation`` and the function object's identity.
+A template step has the same shape with the binder in the first slot.
 
 Mnemonics without a specialised compiler fall back to a closure over the
 slow-path handler, which keeps semantics authoritative in one place: the
@@ -38,7 +61,7 @@ fast path can be *faster* but never *different*.  The differential test
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import IllegalInstruction, InvalidJump
@@ -53,6 +76,7 @@ from ..isa.instructions import (
     Reg,
     Sym,
 )
+from ..isa.registers import GPRS
 from .memory import EXIT_ADDRESS
 
 WORD_MASK = (1 << 64) - 1
@@ -65,19 +89,55 @@ STRAIGHT = 0
 CONTROL = 1
 SYNC = 2
 
+_GPR_NAMES = frozenset(GPRS)
+
 Step = Tuple[Callable[[], None], float, int, int, Tuple[str, int]]
 
 
+class Binding:
+    """The per-CPU state a binder closes step closures over.
+
+    The CPU builds one whenever it drops its bound steps, so binding a
+    function does not repeat these lookups per step.
+    """
+
+    __slots__ = (
+        "cpu", "registers", "gpr", "xmm", "memory",
+        "read_word", "write_word", "read_byte", "write_byte",
+    )
+
+    def __init__(self, cpu) -> None:
+        self.cpu = cpu
+        registers = self.registers = cpu.registers
+        self.gpr = registers.gpr
+        self.xmm = registers.xmm
+        memory = self.memory = cpu.memory
+        self.read_word = memory.read_word
+        self.write_word = memory.write_word
+        self.read_byte = memory.read_byte
+        self.write_byte = memory.write_byte
+
+
+Binder = Callable[[Binding], Callable]
+
+
+def _shared(closure: Callable) -> Binder:
+    """Binder for a closure over no per-CPU state: every CPU reuses it."""
+    return lambda b: closure
+
+
 class DecodedFunction:
-    """A function lowered to a step list for one specific CPU.
+    """A function's steps bound to one specific CPU.
 
     The trace-JIT tier (:mod:`repro.machine.jit`) hangs its per-function
     state off this object — ``jit_blocks`` maps dispatch indices to
     compiled superblocks (or ``None`` for rejected anchors) and
     ``jit_counts`` holds arrival counts for not-yet-hot anchors — so
-    every event that invalidates the decode cache (``code_generation``
-    bump, telemetry generation flip, decoder rebind, explicit flush)
-    drops compiled superblocks along with the steps they index into.
+    every event that drops the CPU's bound steps (``code_generation``
+    bump, telemetry generation flip, rebind to a new register file,
+    memory or DBI multiplier, explicit flush) drops compiled superblocks
+    along with the steps they index into.  Hot counts and superblocks are
+    never shared between CPUs, even when the template is.
     """
 
     __slots__ = ("function", "steps", "jit_blocks", "jit_counts")
@@ -89,98 +149,128 @@ class DecodedFunction:
         self.jit_counts: dict = {}
 
 
-class FunctionDecoder:
-    """Compiles :class:`Function` bodies into step lists bound to one CPU.
+class FunctionTemplate:
+    """A function analysed once per image, ready to bind to any CPU.
 
-    The decoder snapshots the CPU's register file, memory, image and DBI
-    multiplier; the CPU rebuilds its decoder (and drops every cached
-    :class:`DecodedFunction`) if any of those identities change.
+    ``steps`` holds ``(binder, cycles, ticks, kind, next_rip)`` per
+    instruction; ``leaders`` the ``(index, marker)`` canary group
+    leaders that ``hooks`` wraps at bind time (empty while telemetry is
+    disabled).
     """
 
-    def __init__(self, cpu, dispatch) -> None:
-        self.cpu = cpu
-        self.registers = cpu.registers
-        self.memory = cpu.memory
-        self.image = cpu.image
-        self.dbi_multiplier = cpu.dbi_multiplier
-        self._dispatch = dispatch
-        self._compilers = {
-            "nop": self._c_nop,
-            "hlt": self._c_hlt,
-            "mov": self._c_mov,
-            "movb": self._c_movb,
-            "movzxb": self._c_movzxb,
-            "lea": self._c_lea,
-            "push": self._c_push,
-            "pop": self._c_pop,
-            "add": self._c_add,
-            "sub": self._c_sub,
-            "xor": self._c_xor,
-            "or": self._c_or,
-            "and": self._c_and,
-            "shl": self._c_shl,
-            "shr": self._c_shr,
-            "sar": self._c_sar,
-            "imul": self._c_imul,
-            "inc": self._c_inc,
-            "dec": self._c_dec,
-            "neg": self._c_neg,
-            "not": self._c_not,
-            "cmp": self._c_cmp,
-            "test": self._c_test,
-            "jmp": self._c_jmp,
-            "je": self._c_je,
-            "jne": self._c_jne,
-            "jl": self._c_jl,
-            "jle": self._c_jle,
-            "jg": self._c_jg,
-            "jge": self._c_jge,
-            "jb": self._c_jb,
-            "jae": self._c_jae,
-            "call": self._c_call,
-            "ret": self._c_ret,
-            "leave": self._c_leave,
-        }
+    __slots__ = ("function", "steps", "hooks", "leaders")
 
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
+    def __init__(self, function: Function, steps: list, hooks, leaders) -> None:
+        self.function = function
+        self.steps = steps
+        self.hooks = hooks
+        self.leaders = leaders
 
-    def decode(self, function: Function) -> DecodedFunction:
-        """Lower ``function`` into a :class:`DecodedFunction`."""
-        dbi = self.dbi_multiplier
-        name = function.name
-        steps: List[Step] = []
-        for index, instruction in enumerate(function.body):
-            cycles, ticks = step_cost(instruction, dbi)
-            compiled = None
-            compiler = self._compilers.get(instruction.op)
-            if compiler is not None:
-                compiled = compiler(function, index, instruction)
-            if compiled is None:
-                compiled = self._generic(instruction)
-            execute, kind = compiled
-            steps.append((execute, cycles, ticks, kind, (name, index + 1)))
-        hooks = telemetry.canary_hooks()
-        if hooks is not None:
+    def bind(self, binding: Binding) -> DecodedFunction:
+        """Close every step over ``binding``'s CPU."""
+        steps = [
+            (binder(binding), cycles, ticks, kind, next_rip)
+            for binder, cycles, ticks, kind, next_rip in self.steps
+        ]
+        if self.leaders:
             # Telemetry: wrap only canary group-leader steps, so the fast
-            # loop pays nothing on any other step.  The CPU's decode cache
-            # watches the telemetry generation, re-decoding these away
-            # when telemetry is disabled.
-            for index, marker in telemetry.canary_markers(function).items():
+            # loop pays nothing on any other step.  Templates are keyed on
+            # the telemetry generation, so these wrappers disappear when
+            # telemetry is disabled.
+            hooks = self.hooks
+            name = self.function.name
+            for index, marker in self.leaders:
                 execute, cycles, ticks, kind, next_rip = steps[index]
                 steps[index] = (
                     hooks.wrap(execute, marker, name, index),
                     cycles, ticks, kind, next_rip,
                 )
-        return DecodedFunction(function, steps)
+        return DecodedFunction(self.function, steps)
+
+
+def decoder_for(image, dbi_multiplier: float, dispatch) -> "FunctionDecoder":
+    """The image's shared decoder for one DBI multiplier."""
+    decoders = image.decoders
+    decoder = decoders.get(dbi_multiplier)
+    if decoder is None:
+        decoder = decoders[dbi_multiplier] = FunctionDecoder(
+            image, dbi_multiplier, dispatch
+        )
+    return decoder
+
+
+class FunctionDecoder:
+    """Analyses :class:`Function` bodies for one image and DBI multiplier.
+
+    Holds the image's :class:`FunctionTemplate` table, which every CPU
+    executing the image at this multiplier shares.  The table is valid for
+    one ``code_generation`` and one telemetry generation; a stale table is
+    dropped on the next lookup, and a single entry is re-analysed when the
+    image maps its name to a different ``Function`` object.  The analysis
+    never touches a CPU: everything per-CPU is deferred to the binders.
+    """
+
+    #: op -> compiler; filled in below the class body.
+    _compilers: Dict[str, Callable] = {}
+
+    def __init__(self, image, dbi_multiplier: float, dispatch) -> None:
+        self.image = image
+        self.dbi_multiplier = dbi_multiplier
+        self._dispatch = dispatch
+        self._templates: Dict[str, FunctionTemplate] = {}
+        self._stamp: Optional[Tuple[int, int]] = None
+
+    # ------------------------------------------------------------------
+    # entry points
+    # ------------------------------------------------------------------
+
+    def template(self, function: Function) -> FunctionTemplate:
+        """The shared template for ``function``, analysing it on a miss."""
+        stamp = (self.image.code_generation, telemetry.generation())
+        if stamp != self._stamp:
+            self._templates.clear()
+            self._stamp = stamp
+        template = self._templates.get(function.name)
+        if template is None or template.function is not function:
+            template = self._templates[function.name] = self.decode(function)
+            telemetry.count(
+                "decode_templates_built_total",
+                help="functions analysed into shared decode templates",
+            )
+        return template
+
+    def clear(self) -> None:
+        """Drop every template (e.g. after mutating code in place)."""
+        self._templates.clear()
+
+    def decode(self, function: Function) -> FunctionTemplate:
+        """Analyse ``function`` into a :class:`FunctionTemplate`."""
+        dbi = self.dbi_multiplier
+        name = function.name
+        compilers = self._compilers
+        steps = []
+        for index, instruction in enumerate(function.body):
+            cycles, ticks = step_cost(instruction, dbi)
+            compiled = None
+            compiler = compilers.get(instruction.op)
+            if compiler is not None:
+                compiled = compiler(self, function, index, instruction)
+            if compiled is None:
+                compiled = self._generic(instruction)
+            binder, kind = compiled
+            steps.append((binder, cycles, ticks, kind, (name, index + 1)))
+        hooks = telemetry.canary_hooks()
+        leaders = (
+            tuple(telemetry.canary_markers(function).items())
+            if hooks is not None else ()
+        )
+        return FunctionTemplate(function, steps, hooks, leaders)
 
     # ------------------------------------------------------------------
     # fallback: wrap the slow-path handler
     # ------------------------------------------------------------------
 
     def _generic(self, instruction: Instruction):
-        cpu = self.cpu
         op = instruction.op
         handler = self._dispatch.get(op)
         if handler is None:
@@ -188,7 +278,7 @@ class FunctionDecoder:
             def missing() -> None:
                 raise IllegalInstruction(f"no semantics for {op!r}")
 
-            return missing, STRAIGHT
+            return _shared(missing), STRAIGHT
         kind = STRAIGHT
         if op in CONTROL_TRANSFER_OPS:
             kind |= CONTROL
@@ -197,81 +287,144 @@ class FunctionDecoder:
             # native helper that charges cycles.  Both need exact state.
             kind |= SYNC
 
-        def execute() -> None:
-            handler(cpu, instruction)
+        def bind(b):
+            cpu = b.cpu
 
-        return execute, kind
+            def execute() -> None:
+                handler(cpu, instruction)
+
+            return execute
+
+        return bind, kind
 
     # ------------------------------------------------------------------
     # operand accessor compilation
     # ------------------------------------------------------------------
 
-    def _ea(self, m: Mem) -> Optional[Callable[[], int]]:
-        """Compile an effective-address thunk, or ``None`` if not possible."""
-        registers = self.registers
-        gpr = registers.gpr
+    def _ea(self, m: Mem) -> Optional[Binder]:
+        """Binder for an effective-address thunk, or ``None`` if not possible."""
         disp, base, index, scale = m.disp, m.base, m.index, m.scale
-        if base is not None and base not in gpr:
+        if base is not None and base not in _GPR_NAMES:
             return None
-        if index is not None and index not in gpr:
+        if index is not None and index not in _GPR_NAMES:
             return None
         if m.seg is not None:
             if m.seg != "fs":
                 return None  # generic path raises IllegalInstruction at exec
             if base is None and index is None:
-                return lambda: (registers.fs_base + disp) & WORD_MASK
+
+                def bind(b):
+                    registers = b.registers
+                    return lambda: (registers.fs_base + disp) & WORD_MASK
+
+                return bind
             if index is None:
-                return lambda: (registers.fs_base + disp + gpr[base]) & WORD_MASK
+
+                def bind(b):
+                    registers, gpr = b.registers, b.gpr
+                    return lambda: (
+                        registers.fs_base + disp + gpr[base]
+                    ) & WORD_MASK
+
+                return bind
             if base is None:
+
+                def bind(b):
+                    registers, gpr = b.registers, b.gpr
+                    return lambda: (
+                        registers.fs_base + disp + gpr[index] * scale
+                    ) & WORD_MASK
+
+                return bind
+
+            def bind(b):
+                registers, gpr = b.registers, b.gpr
                 return lambda: (
-                    registers.fs_base + disp + gpr[index] * scale
+                    registers.fs_base + disp + gpr[base] + gpr[index] * scale
                 ) & WORD_MASK
-            return lambda: (
-                registers.fs_base + disp + gpr[base] + gpr[index] * scale
-            ) & WORD_MASK
+
+            return bind
         if base is not None and index is None:
             if disp == 0:
-                return lambda: gpr[base]
-            return lambda: (gpr[base] + disp) & WORD_MASK
-        if base is not None:
-            return lambda: (gpr[base] + gpr[index] * scale + disp) & WORD_MASK
-        if index is not None:
-            return lambda: (gpr[index] * scale + disp) & WORD_MASK
-        address = disp & WORD_MASK
-        return lambda: address
 
-    def _read(self, operand, width: int = 8) -> Optional[Callable[[], int]]:
-        """Compile a read thunk mirroring ``CPU.read_operand``."""
-        registers = self.registers
+                def bind(b):
+                    gpr = b.gpr
+                    return lambda: gpr[base]
+
+                return bind
+
+            def bind(b):
+                gpr = b.gpr
+                return lambda: (gpr[base] + disp) & WORD_MASK
+
+            return bind
+        if base is not None:
+
+            def bind(b):
+                gpr = b.gpr
+                return lambda: (gpr[base] + gpr[index] * scale + disp) & WORD_MASK
+
+            return bind
+        if index is not None:
+
+            def bind(b):
+                gpr = b.gpr
+                return lambda: (gpr[index] * scale + disp) & WORD_MASK
+
+            return bind
+        address = disp & WORD_MASK
+        return _shared(lambda: address)
+
+    def _read(self, operand, width: int = 8) -> Optional[Binder]:
+        """Binder for a read thunk mirroring ``CPU.read_operand``."""
         if isinstance(operand, Reg):
             name = operand.name
-            if name in registers.gpr:
-                gpr = registers.gpr
-                return lambda: gpr[name]
-            xmm = registers.xmm
-            return lambda: xmm[name]
+            if name in _GPR_NAMES:
+
+                def bind(b):
+                    gpr = b.gpr
+                    return lambda: gpr[name]
+
+                return bind
+
+            def bind(b):
+                xmm = b.xmm
+                return lambda: xmm[name]
+
+            return bind
         if isinstance(operand, Imm):
             value = operand.value & WORD_MASK
-            return lambda: value
+            return _shared(lambda: value)
         if isinstance(operand, Mem):
-            ea = self._ea(operand)
-            if ea is None:
+            bind_ea = self._ea(operand)
+            if bind_ea is None:
                 return None
-            memory = self.memory
             if width == 8:
-                read_word = memory.read_word
-                return lambda: read_word(ea())
+
+                def bind(b):
+                    read_word, ea = b.read_word, bind_ea(b)
+                    return lambda: read_word(ea())
+
+                return bind
             if width == 1:
-                read_byte = memory.read_byte
-                return lambda: read_byte(ea())
+
+                def bind(b):
+                    read_byte, ea = b.read_byte, bind_ea(b)
+                    return lambda: read_byte(ea())
+
+                return bind
             if width == 16:
-                read_word = memory.read_word
 
-                def read16() -> int:
-                    address = ea()
-                    return (read_word(address + 8) << 64) | read_word(address)
+                def bind(b):
+                    read_word, ea = b.read_word, bind_ea(b)
 
-                return read16
+                    def read16() -> int:
+                        address = ea()
+                        return (read_word(address + 8) << 64) | read_word(address)
+
+                    return read16
+
+                return bind
             return None
         if isinstance(operand, Sym):
             image = self.image
@@ -281,54 +434,73 @@ class FunctionDecoder:
             except Exception:
                 # Unresolved now; defer (and fail) at execution time, like
                 # the slow path does.
-                return lambda: image.address_of(symbol)
-            return lambda: value
+                return _shared(lambda: image.address_of(symbol))
+            return _shared(lambda: value)
         return None
 
-    def _write(self, operand, width: int = 8) -> Optional[Callable[[int], None]]:
-        """Compile a write thunk mirroring ``CPU.write_operand``."""
-        registers = self.registers
+    def _write(self, operand, width: int = 8) -> Optional[Binder]:
+        """Binder for a write thunk mirroring ``CPU.write_operand``."""
         if isinstance(operand, Reg):
             name = operand.name
-            if name in registers.gpr:
-                gpr = registers.gpr
+            if name in _GPR_NAMES:
 
-                def write_gpr(value: int) -> None:
-                    gpr[name] = value & WORD_MASK
+                def bind(b):
+                    gpr = b.gpr
 
-                return write_gpr
-            xmm = registers.xmm
+                    def write_gpr(value: int) -> None:
+                        gpr[name] = value & WORD_MASK
 
-            def write_xmm(value: int) -> None:
-                xmm[name] = value & XMM_MASK
+                    return write_gpr
 
-            return write_xmm
+                return bind
+
+            def bind(b):
+                xmm = b.xmm
+
+                def write_xmm(value: int) -> None:
+                    xmm[name] = value & XMM_MASK
+
+                return write_xmm
+
+            return bind
         if isinstance(operand, Mem):
-            ea = self._ea(operand)
-            if ea is None:
+            bind_ea = self._ea(operand)
+            if bind_ea is None:
                 return None
-            memory = self.memory
             if width == 8:
-                write_word = memory.write_word
-                return lambda value: write_word(ea(), value & WORD_MASK)
+
+                def bind(b):
+                    write_word, ea = b.write_word, bind_ea(b)
+                    return lambda value: write_word(ea(), value & WORD_MASK)
+
+                return bind
             if width == 1:
-                write_byte = memory.write_byte
-                return lambda value: write_byte(ea(), value & 0xFF)
+
+                def bind(b):
+                    write_byte, ea = b.write_byte, bind_ea(b)
+                    return lambda value: write_byte(ea(), value & 0xFF)
+
+                return bind
             if width == 16:
-                write_word = memory.write_word
 
-                def write16(value: int) -> None:
-                    address = ea()
-                    write_word(address, value & WORD_MASK)
-                    write_word(address + 8, (value >> 64) & WORD_MASK)
+                def bind(b):
+                    write_word, ea = b.write_word, bind_ea(b)
 
-                return write16
+                    def write16(value: int) -> None:
+                        address = ea()
+                        write_word(address, value & WORD_MASK)
+                        write_word(address + 8, (value >> 64) & WORD_MASK)
+
+                    return write16
+
+                return bind
             return None
         return None
 
-    def _gpr_name(self, operand) -> Optional[str]:
+    @staticmethod
+    def _gpr_name(operand) -> Optional[str]:
         """The GPR name of a register operand, or ``None``."""
-        if isinstance(operand, Reg) and operand.name in self.registers.gpr:
+        if isinstance(operand, Reg) and operand.name in _GPR_NAMES:
             return operand.name
         return None
 
@@ -340,138 +512,194 @@ class FunctionDecoder:
         def execute() -> None:
             pass
 
-        return execute, STRAIGHT
+        return _shared(execute), STRAIGHT
 
     def _c_hlt(self, function, index, instruction):
-        cpu = self.cpu
-        gpr = self.registers.gpr
+        def bind(b):
+            cpu, gpr = b.cpu, b.gpr
 
-        def execute() -> None:
-            cpu.running = False
-            cpu.exit_status = gpr["rax"] & 0xFF
+            def execute() -> None:
+                cpu.running = False
+                cpu.exit_status = gpr["rax"] & 0xFF
 
-        return execute, CONTROL
+            return execute
+
+        return bind, CONTROL
 
     def _c_mov(self, function, index, instruction):
         dst, src = instruction.operands
-        registers = self.registers
         if isinstance(dst, Reg) and dst.name.startswith("xmm"):
             # Mirrors the slow handler: the destination-xmm case wins and
             # takes the *full* source register value (128-bit for xmm src).
-            read = self._read(src)
-            write = self._write(dst)
-            if read is None or write is None:
+            bind_read = self._read(src)
+            bind_write = self._write(dst)
+            if bind_read is None or bind_write is None:
                 return None
 
-            def execute_to_xmm() -> None:
-                write(read())
+            def bind_to_xmm(b):
+                read, write = bind_read(b), bind_write(b)
 
-            return execute_to_xmm, STRAIGHT
+                def execute_to_xmm() -> None:
+                    write(read())
+
+                return execute_to_xmm
+
+            return bind_to_xmm, STRAIGHT
         if isinstance(src, Reg) and src.name.startswith("xmm"):
-            xmm = registers.xmm
             source = src.name
-            read = lambda: xmm[source] & WORD_MASK  # noqa: E731
+
+            def bind_read(b):
+                xmm = b.xmm
+                return lambda: xmm[source] & WORD_MASK
+
         else:
-            read = self._read(src)
-        write = self._write(dst)
-        if read is None or write is None:
+            bind_read = self._read(src)
+        bind_write = self._write(dst)
+        if bind_read is None or bind_write is None:
             return None
         # Fuse the hottest shapes: gpr <- imm/gpr/mem and mem <- gpr/imm.
         dst_gpr = self._gpr_name(dst)
         if dst_gpr is not None:
-            gpr = registers.gpr
             if isinstance(src, Imm):
                 value = src.value & WORD_MASK
 
-                def execute() -> None:
-                    gpr[dst_gpr] = value
+                def bind(b):
+                    gpr = b.gpr
 
-                return execute, STRAIGHT
+                    def execute() -> None:
+                        gpr[dst_gpr] = value
+
+                    return execute
+
+                return bind, STRAIGHT
             src_gpr = self._gpr_name(src)
             if src_gpr is not None:
 
-                def execute() -> None:
-                    gpr[dst_gpr] = gpr[src_gpr]
+                def bind(b):
+                    gpr = b.gpr
 
-                return execute, STRAIGHT
+                    def execute() -> None:
+                        gpr[dst_gpr] = gpr[src_gpr]
 
-            def execute() -> None:
-                gpr[dst_gpr] = read()
+                    return execute
 
-            return execute, STRAIGHT
+                return bind, STRAIGHT
 
-        def execute() -> None:
-            write(read())
-
-        return execute, STRAIGHT
-
-    def _c_movb(self, function, index, instruction):
-        dst, src = instruction.operands
-        read = self._read(src, width=1)
-        if read is None:
-            return None
-        dst_gpr = self._gpr_name(dst)
-        if dst_gpr is not None:
-            gpr = self.registers.gpr
-
-            def execute() -> None:
-                gpr[dst_gpr] = (gpr[dst_gpr] & ~0xFF) | (read() & 0xFF)
-
-            return execute, STRAIGHT
-        if isinstance(dst, Reg):
-            return None  # xmm byte destination: defer to the slow handler
-        write = self._write(dst, width=1)
-        if write is None:
-            return None
-
-        def execute() -> None:
-            write(read() & 0xFF)
-
-        return execute, STRAIGHT
-
-    def _c_movzxb(self, function, index, instruction):
-        dst, src = instruction.operands
-        read = self._read(src, width=1)
-        write = self._write(dst)
-        if read is None or write is None:
-            return None
-
-        def execute() -> None:
-            write(read() & 0xFF)
-
-        return execute, STRAIGHT
-
-    def _c_lea(self, function, index, instruction):
-        dst, src = instruction.operands
-        write = self._write(dst)
-        if write is None:
-            return None
-        if isinstance(src, Mem):
-            ea = self._ea(src)
-            if ea is None:
-                return None
-            dst_gpr = self._gpr_name(dst)
-            if dst_gpr is not None:
-                gpr = self.registers.gpr
+            def bind(b):
+                gpr, read = b.gpr, bind_read(b)
 
                 def execute() -> None:
-                    gpr[dst_gpr] = ea()
+                    gpr[dst_gpr] = read()
 
-                return execute, STRAIGHT
+                return execute
 
-            def execute() -> None:
-                write(ea())
+            return bind, STRAIGHT
 
-            return execute, STRAIGHT
-        if isinstance(src, Sym):
-            read = self._read(src)
-            if read is None:
-                return None
+        def bind(b):
+            read, write = bind_read(b), bind_write(b)
 
             def execute() -> None:
                 write(read())
 
-            return execute, STRAIGHT
+            return execute
+
+        return bind, STRAIGHT
+
+    def _c_movb(self, function, index, instruction):
+        dst, src = instruction.operands
+        bind_read = self._read(src, width=1)
+        if bind_read is None:
+            return None
+        dst_gpr = self._gpr_name(dst)
+        if dst_gpr is not None:
+
+            def bind(b):
+                gpr, read = b.gpr, bind_read(b)
+
+                def execute() -> None:
+                    gpr[dst_gpr] = (gpr[dst_gpr] & ~0xFF) | (read() & 0xFF)
+
+                return execute
+
+            return bind, STRAIGHT
+        if isinstance(dst, Reg):
+            return None  # xmm byte destination: defer to the slow handler
+        bind_write = self._write(dst, width=1)
+        if bind_write is None:
+            return None
+
+        def bind(b):
+            read, write = bind_read(b), bind_write(b)
+
+            def execute() -> None:
+                write(read() & 0xFF)
+
+            return execute
+
+        return bind, STRAIGHT
+
+    def _c_movzxb(self, function, index, instruction):
+        dst, src = instruction.operands
+        bind_read = self._read(src, width=1)
+        bind_write = self._write(dst)
+        if bind_read is None or bind_write is None:
+            return None
+
+        def bind(b):
+            read, write = bind_read(b), bind_write(b)
+
+            def execute() -> None:
+                write(read() & 0xFF)
+
+            return execute
+
+        return bind, STRAIGHT
+
+    def _c_lea(self, function, index, instruction):
+        dst, src = instruction.operands
+        bind_write = self._write(dst)
+        if bind_write is None:
+            return None
+        if isinstance(src, Mem):
+            bind_ea = self._ea(src)
+            if bind_ea is None:
+                return None
+            dst_gpr = self._gpr_name(dst)
+            if dst_gpr is not None:
+
+                def bind(b):
+                    gpr, ea = b.gpr, bind_ea(b)
+
+                    def execute() -> None:
+                        gpr[dst_gpr] = ea()
+
+                    return execute
+
+                return bind, STRAIGHT
+
+            def bind(b):
+                ea, write = bind_ea(b), bind_write(b)
+
+                def execute() -> None:
+                    write(ea())
+
+                return execute
+
+            return bind, STRAIGHT
+        if isinstance(src, Sym):
+            bind_read = self._read(src)
+            if bind_read is None:
+                return None
+
+            def bind(b):
+                read, write = bind_read(b), bind_write(b)
+
+                def execute() -> None:
+                    write(read())
+
+                return execute
+
+            return bind, STRAIGHT
         return None  # slow path raises IllegalInstruction
 
     # ------------------------------------------------------------------
@@ -479,55 +707,68 @@ class FunctionDecoder:
     # ------------------------------------------------------------------
 
     def _c_push(self, function, index, instruction):
-        read = self._read(instruction.operands[0])
-        if read is None:
+        bind_read = self._read(instruction.operands[0])
+        if bind_read is None:
             return None
-        gpr = self.registers.gpr
-        write_word = self.memory.write_word
 
-        def execute() -> None:
-            rsp = (gpr["rsp"] - 8) & WORD_MASK
-            gpr["rsp"] = rsp
-            write_word(rsp, read())
+        def bind(b):
+            gpr, write_word, read = b.gpr, b.write_word, bind_read(b)
 
-        return execute, STRAIGHT
+            def execute() -> None:
+                rsp = (gpr["rsp"] - 8) & WORD_MASK
+                gpr["rsp"] = rsp
+                write_word(rsp, read())
+
+            return execute
+
+        return bind, STRAIGHT
 
     def _c_pop(self, function, index, instruction):
         target = instruction.operands[0]
-        gpr = self.registers.gpr
-        read_word = self.memory.read_word
         dst_gpr = self._gpr_name(target)
         if dst_gpr is not None:
+
+            def bind(b):
+                gpr, read_word = b.gpr, b.read_word
+
+                def execute() -> None:
+                    rsp = gpr["rsp"]
+                    value = read_word(rsp)
+                    gpr["rsp"] = (rsp + 8) & WORD_MASK
+                    gpr[dst_gpr] = value
+
+                return execute
+
+            return bind, STRAIGHT
+        bind_write = self._write(target)
+        if bind_write is None:
+            return None
+
+        def bind(b):
+            gpr, read_word, write = b.gpr, b.read_word, bind_write(b)
 
             def execute() -> None:
                 rsp = gpr["rsp"]
                 value = read_word(rsp)
                 gpr["rsp"] = (rsp + 8) & WORD_MASK
-                gpr[dst_gpr] = value
+                write(value)
 
-            return execute, STRAIGHT
-        write = self._write(target)
-        if write is None:
-            return None
+            return execute
 
-        def execute() -> None:
-            rsp = gpr["rsp"]
-            value = read_word(rsp)
-            gpr["rsp"] = (rsp + 8) & WORD_MASK
-            write(value)
-
-        return execute, STRAIGHT
+        return bind, STRAIGHT
 
     def _c_leave(self, function, index, instruction):
-        gpr = self.registers.gpr
-        read_word = self.memory.read_word
+        def bind(b):
+            gpr, read_word = b.gpr, b.read_word
 
-        def execute() -> None:
-            rbp = gpr["rbp"]
-            gpr["rbp"] = read_word(rbp)
-            gpr["rsp"] = (rbp + 8) & WORD_MASK
+            def execute() -> None:
+                rbp = gpr["rbp"]
+                gpr["rbp"] = read_word(rbp)
+                gpr["rsp"] = (rbp + 8) & WORD_MASK
 
-        return execute, STRAIGHT
+            return execute
+
+        return bind, STRAIGHT
 
     # ------------------------------------------------------------------
     # ALU
@@ -536,89 +777,107 @@ class FunctionDecoder:
     def _c_add(self, function, index, instruction):
         dst, src = instruction.operands
         dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
+        bind_read = self._read(src)
+        if dst_gpr is None or bind_read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
         if isinstance(src, Imm):
             value = src.value & WORD_MASK
 
+            def bind_imm(b):
+                registers, gpr = b.registers, b.gpr
+
+                def execute() -> None:
+                    result = gpr[dst_gpr] + value
+                    registers.cf = result > WORD_MASK
+                    result &= WORD_MASK
+                    gpr[dst_gpr] = result
+                    registers.zf = result == 0
+                    registers.sf = result >= SIGN_BIT
+
+                return execute
+
+            return bind_imm, STRAIGHT
+
+        def bind(b):
+            registers, gpr, read = b.registers, b.gpr, bind_read(b)
+
             def execute() -> None:
-                result = gpr[dst_gpr] + value
+                result = gpr[dst_gpr] + read()
                 registers.cf = result > WORD_MASK
                 result &= WORD_MASK
                 gpr[dst_gpr] = result
                 registers.zf = result == 0
                 registers.sf = result >= SIGN_BIT
 
-            return execute, STRAIGHT
+            return execute
 
-        def execute() -> None:
-            result = gpr[dst_gpr] + read()
-            registers.cf = result > WORD_MASK
-            result &= WORD_MASK
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-
-        return execute, STRAIGHT
+        return bind, STRAIGHT
 
     def _c_sub(self, function, index, instruction):
         dst, src = instruction.operands
         dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
+        bind_read = self._read(src)
+        if dst_gpr is None or bind_read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
 
-        def execute() -> None:
-            a = gpr[dst_gpr]
-            b = read()
-            registers.cf = a < b
-            result = (a - b) & WORD_MASK
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
+        def bind(binding):
+            registers, gpr = binding.registers, binding.gpr
+            read = bind_read(binding)
 
-        return execute, STRAIGHT
+            def execute() -> None:
+                a = gpr[dst_gpr]
+                b = read()
+                registers.cf = a < b
+                result = (a - b) & WORD_MASK
+                gpr[dst_gpr] = result
+                registers.zf = result == 0
+                registers.sf = result >= SIGN_BIT
+
+            return execute
+
+        return bind, STRAIGHT
 
     def _c_xor(self, function, index, instruction):
         dst, src = instruction.operands
         dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
+        bind_read = self._read(src)
+        if dst_gpr is None or bind_read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
 
-        def execute() -> None:
-            result = gpr[dst_gpr] ^ read()
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-            registers.cf = False
+        def bind(b):
+            registers, gpr, read = b.registers, b.gpr, bind_read(b)
 
-        return execute, STRAIGHT
+            def execute() -> None:
+                result = gpr[dst_gpr] ^ read()
+                gpr[dst_gpr] = result
+                registers.zf = result == 0
+                registers.sf = result >= SIGN_BIT
+                registers.cf = False
+
+            return execute
+
+        return bind, STRAIGHT
 
     def _alu(self, instruction, combine):
         """Shared compiler for the rarer two-operand ALU ops."""
         dst, src = instruction.operands
         dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
+        bind_read = self._read(src)
+        if dst_gpr is None or bind_read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
 
-        def execute() -> None:
-            result = combine(gpr[dst_gpr], read()) & WORD_MASK
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
+        def bind(b):
+            registers, gpr, read = b.registers, b.gpr, bind_read(b)
 
-        return execute, STRAIGHT
+            def execute() -> None:
+                result = combine(gpr[dst_gpr], read()) & WORD_MASK
+                gpr[dst_gpr] = result
+                registers.zf = result == 0
+                registers.sf = result >= SIGN_BIT
+
+            return execute
+
+        return bind, STRAIGHT
 
     def _c_or(self, function, index, instruction):
         return self._alu(instruction, lambda a, b: a | b)
@@ -650,22 +909,30 @@ class FunctionDecoder:
         dst_gpr = self._gpr_name(target)
         if dst_gpr is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
         if set_flags:
 
-            def execute() -> None:
-                result = transform(gpr[dst_gpr]) & WORD_MASK
-                gpr[dst_gpr] = result
-                registers.zf = result == 0
-                registers.sf = result >= SIGN_BIT
+            def bind(b):
+                registers, gpr = b.registers, b.gpr
+
+                def execute() -> None:
+                    result = transform(gpr[dst_gpr]) & WORD_MASK
+                    gpr[dst_gpr] = result
+                    registers.zf = result == 0
+                    registers.sf = result >= SIGN_BIT
+
+                return execute
 
         else:
 
-            def execute() -> None:
-                gpr[dst_gpr] = transform(gpr[dst_gpr]) & WORD_MASK
+            def bind(b):
+                gpr = b.gpr
 
-        return execute, STRAIGHT
+                def execute() -> None:
+                    gpr[dst_gpr] = transform(gpr[dst_gpr]) & WORD_MASK
+
+                return execute
+
+        return bind, STRAIGHT
 
     def _c_inc(self, function, index, instruction):
         return self._unary(instruction, lambda a: a + 1)
@@ -685,51 +952,64 @@ class FunctionDecoder:
 
     def _c_cmp(self, function, index, instruction):
         a_op, b_op = instruction.operands
-        registers = self.registers
-        gpr = registers.gpr
         a_gpr = self._gpr_name(a_op)
         if a_gpr is not None and isinstance(b_op, Imm):
             b = b_op.value & WORD_MASK
             b_signed = b - TWO64 if b >= SIGN_BIT else b
 
-            def execute() -> None:
-                a = gpr[a_gpr]
-                registers.zf = a == b
-                registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < b_signed
-                registers.cf = a < b
+            def bind_imm(binding):
+                registers, gpr = binding.registers, binding.gpr
 
-            return execute, STRAIGHT
-        read_a = self._read(a_op)
-        read_b = self._read(b_op)
-        if read_a is None or read_b is None:
+                def execute() -> None:
+                    a = gpr[a_gpr]
+                    registers.zf = a == b
+                    registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < b_signed
+                    registers.cf = a < b
+
+                return execute
+
+            return bind_imm, STRAIGHT
+        bind_a = self._read(a_op)
+        bind_b = self._read(b_op)
+        if bind_a is None or bind_b is None:
             return None
 
-        def execute() -> None:
-            a = read_a()
-            b = read_b()
-            registers.zf = a == b
-            registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < (
-                b - TWO64 if b >= SIGN_BIT else b
-            )
-            registers.cf = a < b
+        def bind(binding):
+            registers = binding.registers
+            read_a, read_b = bind_a(binding), bind_b(binding)
 
-        return execute, STRAIGHT
+            def execute() -> None:
+                a = read_a()
+                b = read_b()
+                registers.zf = a == b
+                registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < (
+                    b - TWO64 if b >= SIGN_BIT else b
+                )
+                registers.cf = a < b
+
+            return execute
+
+        return bind, STRAIGHT
 
     def _c_test(self, function, index, instruction):
         a_op, b_op = instruction.operands
-        read_a = self._read(a_op)
-        read_b = self._read(b_op)
-        if read_a is None or read_b is None:
+        bind_a = self._read(a_op)
+        bind_b = self._read(b_op)
+        if bind_a is None or bind_b is None:
             return None
-        registers = self.registers
 
-        def execute() -> None:
-            result = read_a() & read_b()
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-            registers.cf = False
+        def bind(b):
+            registers, read_a, read_b = b.registers, bind_a(b), bind_b(b)
 
-        return execute, STRAIGHT
+            def execute() -> None:
+                result = read_a() & read_b()
+                registers.zf = result == 0
+                registers.sf = result >= SIGN_BIT
+                registers.cf = False
+
+            return execute
+
+        return bind, STRAIGHT
 
     # ------------------------------------------------------------------
     # control flow
@@ -748,86 +1028,113 @@ class FunctionDecoder:
 
     def _c_jmp(self, function, index, instruction):
         target = instruction.operands[0]
-        registers = self.registers
         if isinstance(target, Label):
             rip, missing = self._label_rip(function, target)
             if missing is not None:
-                return missing, CONTROL
+                return _shared(missing), CONTROL
 
-            def execute() -> None:
-                registers.rip = rip
+            def bind_label(b):
+                registers = b.registers
 
-            return execute, CONTROL
+                def execute() -> None:
+                    registers.rip = rip
+
+                return execute
+
+            return bind_label, CONTROL
         if isinstance(target, Sym):
             callee = self.image.function(target.name)
             if callee is None:
                 return None  # slow path raises InvalidJump at execution
-            cpu = self.cpu
             entry_rip = (callee.name, 0)
 
-            def execute() -> None:
-                cpu._current = callee
-                registers.rip = entry_rip
+            def bind(b):
+                cpu, registers = b.cpu, b.registers
 
-            return execute, CONTROL
+                def execute() -> None:
+                    cpu._current = callee
+                    registers.rip = entry_rip
+
+                return execute
+
+            return bind, CONTROL
         return None  # indirect jmp: generic handler resolves dynamically
 
     def _conditional(self, function, instruction, condition):
-        """Build a conditional-jump step from a flag-reading closure."""
+        """Build a conditional-jump step from a flag-reading closure.
+
+        ``condition(registers)`` returns the bound flag test.
+        """
         target = instruction.operands[0]
         if not isinstance(target, Label):
             return None  # slow path raises InvalidJump when taken
         rip, missing = self._label_rip(function, target)
-        registers = self.registers
         if missing is not None:
 
-            def execute_missing() -> None:
-                if condition():
-                    missing()
+            def bind_missing(b):
+                taken = condition(b.registers)
 
-            return execute_missing, CONTROL
+                def execute_missing() -> None:
+                    if taken():
+                        missing()
 
-        def execute() -> None:
-            if condition():
-                registers.rip = rip
+                return execute_missing
 
-        return execute, CONTROL
+            return bind_missing, CONTROL
+
+        def bind(b):
+            registers = b.registers
+            taken = condition(registers)
+
+            def execute() -> None:
+                if taken():
+                    registers.rip = rip
+
+            return execute
+
+        return bind, CONTROL
 
     def _c_je(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: registers.zf)
+        return self._conditional(
+            function, instruction, lambda registers: lambda: registers.zf
+        )
 
     def _c_jne(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: not registers.zf)
+        return self._conditional(
+            function, instruction, lambda registers: lambda: not registers.zf
+        )
 
     def _c_jl(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: registers.sf)
+        return self._conditional(
+            function, instruction, lambda registers: lambda: registers.sf
+        )
 
     def _c_jle(self, function, index, instruction):
-        registers = self.registers
         return self._conditional(
-            function, instruction, lambda: registers.sf or registers.zf
+            function, instruction,
+            lambda registers: lambda: registers.sf or registers.zf,
         )
 
     def _c_jg(self, function, index, instruction):
-        registers = self.registers
         return self._conditional(
-            function, instruction, lambda: not (registers.sf or registers.zf)
+            function, instruction,
+            lambda registers: lambda: not (registers.sf or registers.zf),
         )
 
     def _c_jge(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: not registers.sf)
+        return self._conditional(
+            function, instruction, lambda registers: lambda: not registers.sf
+        )
 
     def _c_jb(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: registers.cf)
+        return self._conditional(
+            function, instruction, lambda registers: lambda: registers.cf
+        )
 
     def _c_jae(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: not registers.cf)
+        return self._conditional(
+            function, instruction, lambda registers: lambda: not registers.cf
+        )
 
     def _c_call(self, function, index, instruction):
         target = instruction.operands[0]
@@ -838,46 +1145,59 @@ class FunctionDecoder:
             # Native helper, or a symbol loaded later: resolve at runtime
             # through _call_symbol (which also charges native costs, hence
             # SYNC so accounting is exact when the handler observes it).
-            cpu = self.cpu
             symbol = target.name
 
-            def execute_native() -> None:
-                cpu._call_symbol(symbol)
+            def bind_native(b):
+                cpu = b.cpu
 
-            return execute_native, CONTROL | SYNC
-        cpu = self.cpu
-        registers = self.registers
-        gpr = registers.gpr
-        write_word = self.memory.write_word
+                def execute_native() -> None:
+                    cpu._call_symbol(symbol)
+
+                return execute_native
+
+            return bind_native, CONTROL | SYNC
         return_address = self.image.address_of(function.name, index + 1)
         entry_rip = (callee.name, 0)
 
-        def execute() -> None:
-            rsp = (gpr["rsp"] - 8) & WORD_MASK
-            gpr["rsp"] = rsp
-            write_word(rsp, return_address)
-            cpu._current = callee
-            registers.rip = entry_rip
+        def bind(b):
+            cpu, registers, gpr, write_word = b.cpu, b.registers, b.gpr, b.write_word
 
-        return execute, CONTROL
+            def execute() -> None:
+                rsp = (gpr["rsp"] - 8) & WORD_MASK
+                gpr["rsp"] = rsp
+                write_word(rsp, return_address)
+                cpu._current = callee
+                registers.rip = entry_rip
+
+            return execute
+
+        return bind, CONTROL
 
     def _c_ret(self, function, index, instruction):
-        cpu = self.cpu
-        registers = self.registers
-        gpr = registers.gpr
-        read_word = self.memory.read_word
         resolve = self.image.resolve
 
-        def execute() -> None:
-            rsp = gpr["rsp"]
-            address = read_word(rsp)
-            gpr["rsp"] = (rsp + 8) & WORD_MASK
-            if address == EXIT_ADDRESS:
-                cpu.running = False
-                cpu.exit_status = gpr["rax"] & 0xFF
-                return
-            callee, target = resolve(address)
-            cpu._current = callee
-            registers.rip = (callee.name, target)
+        def bind(b):
+            cpu, registers, gpr, read_word = b.cpu, b.registers, b.gpr, b.read_word
 
-        return execute, CONTROL
+            def execute() -> None:
+                rsp = gpr["rsp"]
+                address = read_word(rsp)
+                gpr["rsp"] = (rsp + 8) & WORD_MASK
+                if address == EXIT_ADDRESS:
+                    cpu.running = False
+                    cpu.exit_status = gpr["rax"] & 0xFF
+                    return
+                callee, target = resolve(address)
+                cpu._current = callee
+                registers.rip = (callee.name, target)
+
+            return execute
+
+        return bind, CONTROL
+
+
+FunctionDecoder._compilers = {
+    name[len("_c_"):]: compiler
+    for name, compiler in vars(FunctionDecoder).items()
+    if name.startswith("_c_")
+}
