@@ -458,6 +458,7 @@ _STATS_COLUMNS = (
     ("degradations_total", "degraded"),
     ("decode_templates_built_total", "templates"),
     ("decode_binds_total", "binds"),
+    ("aes_key_schedules_built_total", "aes_schedules"),
 )
 
 

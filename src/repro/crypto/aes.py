@@ -1,24 +1,41 @@
-"""Pure-Python AES-128, standing in for Intel AES-NI.
+"""Table-driven AES-128, standing in for Intel AES-NI.
 
 P-SSP-OWF (paper §IV-C / §V-E3) computes the stack canary as
-``AES_ENCRYPT_128(key = TLS canary, plaintext = rdtsc || return-address)``.
-The paper uses AES-NI; offline we implement FIPS-197 AES-128 directly.
-Only ECB single-block encryption/decryption is needed, but decryption is
-included so tests can verify the implementation round-trips against the
-FIPS-197 appendix vectors.
+``AES_ENCRYPT_128(key = TLS canary, plaintext = rdtsc || return-address)``,
+one block per protected prologue and one per epilogue.  The paper relies
+on AES-NI being cheap; here two things keep a block cheap on the host:
 
-The implementation favours clarity over speed: the canary path encrypts
-one block per protected call in *simulated* time (the cycle cost lives in
-``repro.isa.costs``), so host-side throughput is irrelevant.
+* **T-tables.**  The state is four big-endian 32-bit column words, and
+  ``_T0[x]`` is the MixColumns column ``(2·S(x), S(x), S(x), 3·S(x))``
+  (``_T1``..``_T3`` are its byte rotations), so an inner round is 16
+  lookups and XORs with SubBytes, ShiftRows and MixColumns folded in.
+  The tables are built once at import from :data:`SBOX` with
+  :func:`_xtime`.
+* **A per-key schedule cache.**  The key (the TLS canary) is fixed for a
+  process's life and inherited across ``fork``, so round keys of the
+  last :data:`SCHEDULE_CACHE_SIZE` keys are kept, oldest evicted first.
+  A miss calls :func:`expand_key` and ticks
+  ``aes_key_schedules_built_total``.
+
+The cache is safe: it memoises a pure function of the key bytes and
+stays in host memory, out of reach of any simulated instruction, and the
+native's simulated cost is a fixed table entry (``AES_HELPER_COST``), so
+no simulated cycle depends on it.
 """
 
 from __future__ import annotations
 
-from typing import List
+import struct
+from typing import Dict, List, Tuple
+
+from .. import telemetry
 
 BLOCK_SIZE = 16
 KEY_SIZE = 16
 ROUNDS = 10
+
+#: Distinct keys whose round keys :func:`encrypt_block` keeps.
+SCHEDULE_CACHE_SIZE = 64
 
 # FIPS-197 S-box.
 SBOX = bytes(
@@ -42,8 +59,6 @@ SBOX = bytes(
     ]
 )
 
-INV_SBOX = bytes(SBOX.index(i) for i in range(256))
-
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
@@ -55,15 +70,21 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+def _t_tables() -> List[Tuple[int, ...]]:
+    tables = [tuple(
+        (_xtime(s) << 24) | (s << 16) | (s << 8) | (_xtime(s) ^ s) for s in SBOX
+    )]
+    for _ in range(3):  # each next table is the previous rotated right a byte
+        tables.append(tuple((w >> 8) | (w & 0xFF) << 24 for w in tables[-1]))
+    return tables
+
+
+_T0, _T1, _T2, _T3 = _t_tables()
+
+_WORDS = struct.Struct(">4I")
+
+#: key bytes -> the 44 round-key words (insertion order = age).
+_SCHEDULES: Dict[bytes, Tuple[int, ...]] = {}
 
 
 def expand_key(key: bytes) -> List[bytes]:
@@ -81,82 +102,49 @@ def expand_key(key: bytes) -> List[bytes]:
     return [b"".join(words[4 * r : 4 * r + 4]) for r in range(ROUNDS + 1)]
 
 
-def _add_round_key(state: bytearray, round_key: bytes) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
-
-
-def _sub_bytes(state: bytearray, box: bytes) -> None:
-    for i in range(16):
-        state[i] = box[state[i]]
-
-
-def _shift_rows(state: bytearray) -> None:
-    # State is column-major: byte (row, col) lives at state[row + 4*col].
-    for row in range(1, 4):
-        cells = [state[row + 4 * col] for col in range(4)]
-        cells = cells[row:] + cells[:row]
-        for col in range(4):
-            state[row + 4 * col] = cells[col]
-
-
-def _inv_shift_rows(state: bytearray) -> None:
-    for row in range(1, 4):
-        cells = [state[row + 4 * col] for col in range(4)]
-        cells = cells[-row:] + cells[:-row]
-        for col in range(4):
-            state[row + 4 * col] = cells[col]
-
-
-def _mix_columns(state: bytearray) -> None:
-    for col in range(4):
-        a = state[4 * col : 4 * col + 4]
-        state[4 * col + 0] = _gmul(a[0], 2) ^ _gmul(a[1], 3) ^ a[2] ^ a[3]
-        state[4 * col + 1] = a[0] ^ _gmul(a[1], 2) ^ _gmul(a[2], 3) ^ a[3]
-        state[4 * col + 2] = a[0] ^ a[1] ^ _gmul(a[2], 2) ^ _gmul(a[3], 3)
-        state[4 * col + 3] = _gmul(a[0], 3) ^ a[1] ^ a[2] ^ _gmul(a[3], 2)
-
-
-def _inv_mix_columns(state: bytearray) -> None:
-    for col in range(4):
-        a = state[4 * col : 4 * col + 4]
-        state[4 * col + 0] = _gmul(a[0], 14) ^ _gmul(a[1], 11) ^ _gmul(a[2], 13) ^ _gmul(a[3], 9)
-        state[4 * col + 1] = _gmul(a[0], 9) ^ _gmul(a[1], 14) ^ _gmul(a[2], 11) ^ _gmul(a[3], 13)
-        state[4 * col + 2] = _gmul(a[0], 13) ^ _gmul(a[1], 9) ^ _gmul(a[2], 14) ^ _gmul(a[3], 11)
-        state[4 * col + 3] = _gmul(a[0], 11) ^ _gmul(a[1], 13) ^ _gmul(a[2], 9) ^ _gmul(a[3], 14)
+def _schedule(key: bytes) -> Tuple[int, ...]:
+    """Round-key words for ``key``, expanding and caching on a miss."""
+    words = tuple(
+        word for round_key in expand_key(key) for word in _WORDS.unpack(round_key)
+    )
+    if len(_SCHEDULES) >= SCHEDULE_CACHE_SIZE:
+        del _SCHEDULES[next(iter(_SCHEDULES))]
+    _SCHEDULES[key] = words
+    telemetry.count(
+        "aes_key_schedules_built_total",
+        help="AES-128 key schedules expanded (schedule-cache misses)",
+    )
+    return words
 
 
 def encrypt_block(key: bytes, plaintext: bytes) -> bytes:
     """Encrypt one 16-byte block with AES-128 (models ``AES_ENCRYPT_128``)."""
     if len(plaintext) != BLOCK_SIZE:
         raise ValueError(f"plaintext block must be {BLOCK_SIZE} bytes, got {len(plaintext)}")
-    round_keys = expand_key(key)
-    state = bytearray(plaintext)
-    _add_round_key(state, round_keys[0])
-    for rnd in range(1, ROUNDS):
-        _sub_bytes(state, SBOX)
-        _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, round_keys[rnd])
-    _sub_bytes(state, SBOX)
-    _shift_rows(state)
-    _add_round_key(state, round_keys[ROUNDS])
-    return bytes(state)
-
-
-def decrypt_block(key: bytes, ciphertext: bytes) -> bytes:
-    """Decrypt one 16-byte block (used only for self-tests)."""
-    if len(ciphertext) != BLOCK_SIZE:
-        raise ValueError(f"ciphertext block must be {BLOCK_SIZE} bytes, got {len(ciphertext)}")
-    round_keys = expand_key(key)
-    state = bytearray(ciphertext)
-    _add_round_key(state, round_keys[ROUNDS])
-    for rnd in range(ROUNDS - 1, 0, -1):
-        _inv_shift_rows(state)
-        _sub_bytes(state, INV_SBOX)
-        _add_round_key(state, round_keys[rnd])
-        _inv_mix_columns(state)
-    _inv_shift_rows(state)
-    _sub_bytes(state, INV_SBOX)
-    _add_round_key(state, round_keys[0])
-    return bytes(state)
+    rk = _SCHEDULES.get(key) or _schedule(key)
+    t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+    s0, s1, s2, s3 = _WORDS.unpack(plaintext)
+    s0 ^= rk[0]
+    s1 ^= rk[1]
+    s2 ^= rk[2]
+    s3 ^= rk[3]
+    for i in range(4, 40, 4):
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[i],
+            t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[i + 1],
+            t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[i + 2],
+            t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[i + 3],
+        )
+    # Last round: no MixColumns.  Each T-table holds plain S(x) in one
+    # byte lane (_T2 the top, _T3 the second, _T0 the third, _T1 the
+    # bottom), so masking that lane is SubBytes alone.
+    return _WORDS.pack(
+        (t2[s0 >> 24] & 0xFF000000 ^ t3[s1 >> 16 & 255] & 0xFF0000
+         ^ t0[s2 >> 8 & 255] & 0xFF00 ^ t1[s3 & 255] & 0xFF) ^ rk[40],
+        (t2[s1 >> 24] & 0xFF000000 ^ t3[s2 >> 16 & 255] & 0xFF0000
+         ^ t0[s3 >> 8 & 255] & 0xFF00 ^ t1[s0 & 255] & 0xFF) ^ rk[41],
+        (t2[s2 >> 24] & 0xFF000000 ^ t3[s3 >> 16 & 255] & 0xFF0000
+         ^ t0[s0 >> 8 & 255] & 0xFF00 ^ t1[s1 & 255] & 0xFF) ^ rk[42],
+        (t2[s3 >> 24] & 0xFF000000 ^ t3[s0 >> 16 & 255] & 0xFF0000
+         ^ t0[s1 >> 8 & 255] & 0xFF00 ^ t1[s2 & 255] & 0xFF) ^ rk[43],
+    )
