@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .. import telemetry
+from ..parallel.campaign import run_units
 from .byte_by_byte import byte_by_byte_attack
 from .oracle import ForkingServer
 from .payloads import frame_map
@@ -154,17 +155,12 @@ def run_attack_trial(
     )
 
 
-def _attack_shard_worker(config: Dict[str, Any], seeds, attempt: int):
-    """Process-pool entry point: run one shard's attack seeds."""
-    before = telemetry.snapshot()
-    trials = [
-        run_attack_trial(
-            config["scheme"], seed,
-            max_trials=config["max_trials"], source=config["source"],
-        ).to_json()
-        for seed in seeds
-    ]
-    return {"trials": trials, "telemetry": telemetry.delta(before)}
+def _attack_unit(config: Dict[str, Any], seed: int) -> AttackTrial:
+    """The engine's unit: one seeded trial."""
+    return run_attack_trial(
+        config["scheme"], seed,
+        max_trials=config["max_trials"], source=config["source"],
+    )
 
 
 def attack_campaign(
@@ -179,46 +175,24 @@ def attack_campaign(
 ) -> AttackCampaignReport:
     """Run ``repeats`` seeded trials (seeds ``base_seed + i``).
 
-    ``jobs > 1`` shards the seed range; the report is merged in seed
-    order and is bit-identical to a serial run.  Seeds on a shard whose
-    worker died (after ``shard_retries`` re-queues) are listed in
-    ``report.lost``; shards that needed more than one attempt land in
-    ``report.shard_attempts``.
+    The seeds run through :func:`repro.parallel.run_units`, so a
+    ``jobs > 1`` report is bit-identical to a serial one.  Seeds on a
+    shard whose worker died (after ``shard_retries`` re-queues) are
+    listed in ``report.lost``; shards that needed more than one attempt
+    land in ``report.shard_attempts``.
     """
     report = AttackCampaignReport(
         scheme=scheme, base_seed=base_seed, repeats=repeats,
         max_trials=max_trials,
     )
-    if jobs <= 1:
-        for index in range(repeats):
-            report.trials.append(run_attack_trial(
-                scheme, base_seed + index,
-                max_trials=max_trials, source=source,
-            ))
-        return report
-
-    from ..parallel import plan_shards, run_shards
-
-    config = {"scheme": scheme, "max_trials": max_trials, "source": source}
-    shards = plan_shards(base_seed, repeats)
-    outcomes, _ = run_shards(
-        _attack_shard_worker, config, shards, jobs=jobs, retries=shard_retries,
+    run = run_units(
+        _attack_unit,
+        {"scheme": scheme, "max_trials": max_trials, "source": source},
+        base_seed, repeats,
+        merge=lambda seed, trial: report.trials.append(trial),
+        encode=AttackTrial.to_json, decode=AttackTrial.from_json,
+        lost=lambda outcome: report.lost.extend(outcome.shard.seeds),
+        jobs=jobs, retries=shard_retries,
     )
-    deltas = []
-    for outcome in outcomes:
-        if outcome.attempts > 1:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.shard_attempts[f"{first}..{last}"] = outcome.attempts
-        if outcome.ok:
-            report.trials.extend(
-                AttackTrial.from_json(t) for t in outcome.value["trials"]
-            )
-            deltas.append(outcome.value["telemetry"])
-        else:
-            report.lost.extend(outcome.shard.seeds)
-    merged = telemetry.Snapshot()
-    for delta in deltas:
-        merged = merged.merge(telemetry.Snapshot(delta))
-    if merged:
-        telemetry.absorb(merged)
+    report.shard_attempts = run.shard_attempts
     return report

@@ -45,12 +45,7 @@ from .errors import (  # noqa: F401  (re-exported; tests import cli.EXIT_*)
     EXIT_USAGE,
     EXIT_VIOLATION,
 )
-from .parallel import (
-    add_jobs_argument,
-    add_shard_retries_argument,
-    resolve_jobs,
-    resolve_shard_retries,
-)
+from .parallel import add_campaign_arguments, resolve_campaign_arguments
 from .harness import figures as _figures
 from .harness import tables as _tables
 from .harness.report import generate_report
@@ -169,49 +164,16 @@ def _telemetry_capture_write(path: Optional[str], before: Dict[str, object]) -> 
     print(f"wrote {path}")
 
 
-def _campaign_jobs(args: argparse.Namespace):
-    """Resolve ``--jobs`` for a campaign command.
-
-    Returns ``(jobs, None)`` on success or ``(None, EXIT_USAGE)`` when
-    the flag or the ``REPRO_JOBS`` environment default is invalid.
-    """
-    try:
-        return resolve_jobs(args.jobs), None
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return None, EXIT_USAGE
-
-
-def _shard_retries(args: argparse.Namespace):
-    """Resolve ``--shard-retries`` for a campaign command.
-
-    Returns ``(retries, None)`` on success or ``(None, EXIT_USAGE)``
-    when the value is invalid (negative).
-    """
-    try:
-        return resolve_shard_retries(args.shard_retries), None
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return None, EXIT_USAGE
-
-
 def _cmd_attack(args: argparse.Namespace) -> int:
     from .attacks import ForkingServer, byte_by_byte_attack, frame_map
     from .attacks.trials import attack_campaign
-
-    jobs, usage = _campaign_jobs(args)
-    if usage is not None:
-        return usage
-    shard_retries, usage = _shard_retries(args)
-    if usage is not None:
-        return usage
 
     if args.repeats > 1:
         before = _telemetry_capture_start(args.telemetry_out)
         report = attack_campaign(
             args.scheme, base_seed=args.seed, repeats=args.repeats,
-            max_trials=args.trials, source=_ATTACK_VICTIM, jobs=jobs,
-            shard_retries=shard_retries,
+            max_trials=args.trials, source=_ATTACK_VICTIM, jobs=args.jobs,
+            shard_retries=args.shard_retries,
         )
         print(report.render())
         _telemetry_capture_write(args.telemetry_out, before)
@@ -235,10 +197,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_effectiveness(args: argparse.Namespace) -> int:
-    jobs, usage = _campaign_jobs(args)
-    if usage is not None:
-        return usage
-    print(_tables.effectiveness(max_trials=args.trials, jobs=jobs).render())
+    print(_tables.effectiveness(max_trials=args.trials, jobs=args.jobs).render())
     return 0
 
 
@@ -327,12 +286,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
               else f"{len(failures)} failure(s)")
         return 0 if not failures else 1
 
-    jobs, usage = _campaign_jobs(args)
-    if usage is not None:
-        return usage
-    shard_retries, usage = _shard_retries(args)
-    if usage is not None:
-        return usage
     before = _telemetry_capture_start(args.telemetry_out)
     report = run_fuzz(
         args.budget,
@@ -340,8 +293,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         shrink=not args.no_shrink,
         health=not args.no_health,
         progress=lambda line: print(f"  {line}", flush=True),
-        jobs=jobs,
-        shard_retries=shard_retries,
+        jobs=args.jobs,
+        shard_retries=args.shard_retries,
         **({"schemes": schemes} if schemes else {}),
     )
     print(report.render())
@@ -380,25 +333,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               else f"{len(run.violations)} violation(s)")
         return EXIT_OK if run.ok else EXIT_VIOLATION
 
-    jobs, usage = _campaign_jobs(args)
-    if usage is not None:
-        return usage
-    shard_retries, usage = _shard_retries(args)
-    if usage is not None:
-        return usage
     before = _telemetry_capture_start(args.telemetry_out)
-    report = run_campaign(
-        args.budget,
-        base_seed=args.seed,
-        retries=args.retries,
-        shard_retries=shard_retries,
-        deadline=args.deadline,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        schemes=tuple(args.schemes.split(",")) if args.schemes else None,
-        progress=lambda line: print(f"  {line}", flush=True),
-        jobs=jobs,
-    )
+    try:
+        report = run_campaign(
+            args.budget,
+            base_seed=args.seed,
+            retries=args.retries,
+            shard_retries=args.shard_retries,
+            deadline=args.deadline,
+            checkpoint_path=args.checkpoint,
+            resume=args.resume,
+            schemes=tuple(args.schemes.split(",")) if args.schemes else None,
+            progress=lambda line: print(f"  {line}", flush=True),
+            jobs=args.jobs,
+        )
+    except CampaignError as error:
+        print(f"infrastructure error: {error}", file=sys.stderr)
+        return EXIT_INFRASTRUCTURE
     print(report.render())
     _telemetry_capture_write(args.telemetry_out, before)
     if args.out:
@@ -641,28 +592,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if unknown:
             print(f"unknown scheme(s): {', '.join(unknown)}", file=sys.stderr)
             return EXIT_USAGE
-    jobs, usage = _campaign_jobs(args)
-    if usage is not None:
-        return usage
-    shard_retries, usage = _shard_retries(args)
-    if usage is not None:
-        return usage
     if args.chaos_seed is not None and not args.chaos:
         print("--chaos-seed requires --chaos", file=sys.stderr)
         return EXIT_USAGE
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint", file=sys.stderr)
-        return EXIT_USAGE
-    tracing = args.trace_out is not None or args.bundle_dir is not None
-    if tracing and args.checkpoint:
-        print(
-            "--trace-out/--bundle-dir cannot be combined with --checkpoint "
-            "(a resumed campaign would leave holes in the trace)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     trace_config = None
-    if tracing:
+    if args.trace_out is not None or args.bundle_dir is not None:
         from .trace import TraceConfig
 
         trace_config = TraceConfig(series_interval=args.series_interval)
@@ -682,10 +616,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             slice_requests=args.slice,
             config=config,
-            jobs=jobs,
+            jobs=args.jobs,
             chaos=args.chaos,
             chaos_seed=args.chaos_seed,
-            shard_retries=shard_retries,
+            shard_retries=args.shard_retries,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
             trace=trace_config,
@@ -836,14 +770,13 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--repeats", type=int, default=1,
                         help="independent seeded campaigns (seed+i); "
                              ">1 prints the cost distribution")
-    add_jobs_argument(attack)
-    add_shard_retries_argument(attack)
+    add_campaign_arguments(attack)
     attack.add_argument("--telemetry-out", default=None, metavar="FILE",
                         help="write telemetry counters + event stream as JSON")
 
     eff = sub.add_parser("effectiveness", help="regenerate §VI-C")
     eff.add_argument("--trials", type=int, default=4000)
-    add_jobs_argument(eff)
+    add_campaign_arguments(eff, shard_retries=False)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
     sweep.add_argument("kind", choices=("density", "width"))
@@ -880,8 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the detection/polymorphism probes")
     fuzz.add_argument("--out", default=None, metavar="DIR",
                       help="write failing programs as JSON artifacts")
-    add_jobs_argument(fuzz)
-    add_shard_retries_argument(fuzz)
+    add_campaign_arguments(fuzz)
     fuzz.add_argument("--telemetry-out", default=None, metavar="FILE",
                       help="write telemetry counters + event stream as JSON")
 
@@ -905,14 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-attempts per case on infrastructure errors")
     chaos.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                        help="wall-clock budget; exceeding it exits 4")
-    chaos.add_argument("--checkpoint", default=None, metavar="FILE",
-                       help="write a JSON checkpoint after every case")
-    chaos.add_argument("--resume", action="store_true",
-                       help="skip cases already in the checkpoint file")
     chaos.add_argument("--out", default=None, metavar="FILE",
                        help="write the full campaign report as JSON")
-    add_jobs_argument(chaos)
-    add_shard_retries_argument(chaos)
+    add_campaign_arguments(chaos, checkpoint=True)
     chaos.add_argument("--telemetry-out", default=None, metavar="FILE",
                        help="write telemetry counters + event stream as JSON")
 
@@ -987,15 +914,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the chaos schedules "
                             "(default: the campaign base seed; "
                             "requires --chaos)")
-    fleet.add_argument("--checkpoint", default=None, metavar="FILE",
-                       help="write a resumable checkpoint after every "
-                            "completed slice")
-    fleet.add_argument("--resume", action="store_true",
-                       help="skip slices already in --checkpoint")
     fleet.add_argument("--out", default=None, metavar="FILE",
                        help="write the full fleet report as JSON")
-    add_jobs_argument(fleet)
-    add_shard_retries_argument(fleet)
+    add_campaign_arguments(fleet, checkpoint=True)
     fleet.add_argument("--telemetry-out", default=None, metavar="FILE",
                        help="write telemetry counters + event stream as JSON")
     fleet.add_argument("--trace-out", default=None, metavar="FILE",
@@ -1066,6 +987,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        resolve_campaign_arguments(args)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return EXIT_USAGE
     return _COMMANDS[args.command](args)
 
 

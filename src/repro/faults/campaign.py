@@ -31,8 +31,6 @@ reproduces the program, the kernel entropy, *and* the schedule, so
 
 from __future__ import annotations
 
-import json
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -43,6 +41,7 @@ from ..errors import CampaignError, DegradedError
 from ..fuzz.conformance import FUZZ_CYCLE_LIMIT, _fingerprint
 from ..isa.instructions import Mem, Reg
 from ..kernel.kernel import Kernel
+from ..parallel.campaign import open_checkpoint, run_units
 from ..workloads.generator import (
     FunctionSpec,
     ProgramSpec,
@@ -232,7 +231,7 @@ class ChaosRun:
 
 @dataclass
 class ChaosReport:
-    """Outcome of one chaos campaign (checkpointable)."""
+    """Outcome of one chaos campaign."""
 
     budget: int
     base_seed: int
@@ -242,10 +241,6 @@ class ChaosReport:
     #: Shards that needed more than one attempt, ``"first..last" ->
     #: attempts`` (empty on serial and healthy parallel runs).
     shard_attempts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def completed_seeds(self) -> "set[int]":
-        return {run.seed for run in self.runs if not run.case}
 
     @property
     def violating_runs(self) -> List[ChaosRun]:
@@ -274,23 +269,6 @@ class ChaosReport:
             "infra_errors": [[seed, detail] for seed, detail in self.infra_errors],
             "runs": [run.to_json() for run in self.runs],
         }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ChaosReport":
-        return cls(
-            budget=int(data["budget"]),
-            base_seed=int(data["base_seed"]),
-            runs=[ChaosRun.from_json(r) for r in data.get("runs", [])],
-            infra_errors=[
-                (int(seed), detail)
-                for seed, detail in data.get("infra_errors", [])
-            ],
-            timed_out=bool(data.get("timed_out", False)),
-            shard_attempts={
-                str(span): int(attempts)
-                for span, attempts in dict(data.get("shard_attempts", {})).items()
-            },
-        )
 
     def render(self) -> str:
         tally = ", ".join(
@@ -466,9 +444,9 @@ def _check_chaos_seed(
 
     Returns ``("skip", None)`` when the scheme filter gates the seed,
     ``("run", ChaosRun)`` for a completed case, or ``("infra", detail)``
-    after the retry budget is spent on :class:`CampaignError`.  Both the
-    serial loop and the parallel shard worker call this, so the two
-    paths classify (and count) identically.
+    after the retry budget is spent on :class:`CampaignError`.  The
+    engine runs this in-process or in a shard worker, so both modes
+    classify (and count) identically.
     """
     spec = schedule = None
     if scheme_filter is not None:
@@ -500,39 +478,19 @@ def _check_chaos_seed(
     return ("infra", last_error)
 
 
-def _chaos_shard_worker(config: Dict[str, Any], seeds, attempt: int):
-    """Process-pool entry point: run one shard's chaos seeds.
-
-    Module-level (picklable by reference).  Returns plain data — each
-    seed's classification in artifact form plus the telemetry delta
-    accumulated while running the shard.
-    """
-    schemes = config["schemes"]
-    scheme_filter = frozenset(schemes) if schemes else None
-    before = telemetry.snapshot()
-    cases = []
-    for seed in seeds:
-        kind, payload = _check_chaos_seed(
-            seed,
-            scheme_filter=scheme_filter,
-            retries=config["retries"],
-            cycle_limit=config["cycle_limit"],
-            audit=config["audit"],
-        )
-        cases.append({
-            "seed": seed,
-            "kind": kind,
-            "run": payload.to_json() if kind == "run" else None,
-            "detail": payload if kind == "infra" else "",
-        })
-    return {"cases": cases, "telemetry": telemetry.delta(before)}
+def _chaos_unit(config: Dict[str, Any], seed: int) -> Tuple[str, Any]:
+    """The engine's unit: one campaign seed under the campaign's knobs."""
+    return _check_chaos_seed(seed, **config)
 
 
-def _finalize(report: ChaosReport) -> ChaosReport:
-    """Impose the canonical (seed) order both execution paths share."""
-    report.runs.sort(key=lambda run: (run.seed, run.case))
-    report.infra_errors.sort()
-    return report
+def _encode_case(unit: Tuple[str, Any]) -> List[Any]:
+    kind, payload = unit
+    return [kind, payload.to_json() if kind == "run" else payload]
+
+
+def _decode_case(data: List[Any]) -> Tuple[str, Any]:
+    kind, payload = data
+    return kind, ChaosRun.from_json(payload) if kind == "run" else payload
 
 
 def run_campaign(
@@ -565,153 +523,72 @@ def run_campaign(
       ``report.shard_attempts``.
     * ``deadline`` — wall-clock budget in seconds; exceeding it stops the
       campaign with ``timed_out`` set (exit code 4 at the CLI).
-    * ``checkpoint_path``/``resume`` — JSON checkpoint written after every
-      case (``jobs > 1``: after every shard); resuming skips seeds
-      already completed.
-    * ``jobs`` — process-pool width.  The shard plan depends only on the
-      budget and the report is finalised in seed order, so any ``jobs``
-      value produces a bit-identical report.  A shard whose worker dies
-      is retried once, then every seed it carried is recorded as an
-      infrastructure error — never silently dropped.
+    * ``checkpoint_path``/``resume`` — the engine's checkpoint, written
+      after every case (``jobs > 1``: after every shard); resuming skips
+      seeds already completed.  The checkpoint belongs to one campaign:
+      resuming with a different base seed, scheme filter, cycle limit,
+      audit setting or per-case retries — or from an unreadable file —
+      raises :class:`CampaignError`.  A larger budget is allowed.
+    * ``jobs`` — process-pool width.  The seeds run through
+      :func:`repro.parallel.run_units`, so any ``jobs`` value produces a
+      bit-identical report.  A shard whose worker dies is retried, then
+      every seed it carried is recorded as an infrastructure error —
+      never silently dropped.
     """
     report = ChaosReport(budget=budget, base_seed=base_seed)
-    if resume and checkpoint_path:
-        try:
-            with open(checkpoint_path, "r", encoding="utf-8") as handle:
-                report = ChaosReport.from_json(json.load(handle))
-            report.budget = budget
-            report.base_seed = base_seed
-            report.timed_out = False
-            if progress:
-                progress(f"resumed: {len(report.runs)} case(s) already done")
-        except FileNotFoundError:
-            pass
-
-    scheme_filter = frozenset(schemes) if schemes else None
-    done = report.completed_seeds
-
-    def checkpoint() -> None:
-        if checkpoint_path:
-            with open(checkpoint_path, "w", encoding="utf-8") as handle:
-                json.dump(report.to_json(), handle, indent=2)
-
-    if jobs > 1:
-        return _run_campaign_parallel(
-            report, jobs=jobs, retries=retries,
-            shard_retries=shard_retries, deadline=deadline,
-            scheme_filter=scheme_filter, cycle_limit=cycle_limit,
-            audit=audit, progress=progress, checkpoint=checkpoint,
-        )
-
-    started = time.monotonic()
-    for index in range(budget):
-        seed = base_seed + index
-        if seed in done:
-            continue
-        if deadline is not None and time.monotonic() - started > deadline:
-            report.timed_out = True
-            if progress:
-                progress(f"deadline hit after {len(report.runs)} case(s)")
-            break
-        kind, payload = _check_chaos_seed(
-            seed, scheme_filter=scheme_filter, retries=retries,
-            cycle_limit=cycle_limit, audit=audit,
-        )
-        if kind == "skip":
-            continue
-        if kind == "run":
-            report.runs.append(payload)
-            if not payload.ok and progress:
-                progress(f"seed {seed}: {len(payload.violations)} violation(s)")
-        else:
-            report.infra_errors.append((seed, payload))
-            if progress:
-                progress(f"seed {seed}: infrastructure error: {payload}")
-        checkpoint()
-        if progress and (index + 1) % 25 == 0:
-            progress(f"{index + 1}/{budget} schedules done")
-    return _finalize(report)
-
-
-def _run_campaign_parallel(
-    report: ChaosReport,
-    *,
-    jobs: int,
-    retries: int,
-    shard_retries: int,
-    deadline: Optional[float],
-    scheme_filter: Optional[frozenset],
-    cycle_limit: int,
-    audit: bool,
-    progress: Optional[Callable[[str], None]],
-    checkpoint: Callable[[], None],
-) -> ChaosReport:
-    """Sharded branch of :func:`run_campaign` (same report, any jobs)."""
-    from ..parallel import STATUS_FAILED, plan_shards, run_shards
-
     config = {
-        "schemes": sorted(scheme_filter) if scheme_filter else None,
+        "scheme_filter": frozenset(schemes) if schemes else None,
         "retries": retries,
         "cycle_limit": cycle_limit,
         "audit": audit,
     }
-    shards = plan_shards(
-        report.base_seed, report.budget, skip=report.completed_seeds
-    )
-    deltas: Dict[int, Dict[str, Any]] = {}
+    checkpoint = open_checkpoint(checkpoint_path, "chaos-checkpoint", {
+        "base_seed": base_seed,
+        "schemes": sorted(schemes) if schemes else None,
+        "cycle_limit": cycle_limit,
+        "audit": audit,
+        "retries": retries,
+    }, resume=resume)
 
-    def merge(outcome) -> None:
-        if outcome.attempts > 1:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.shard_attempts[f"{first}..{last}"] = outcome.attempts
-        if outcome.ok:
-            for item in outcome.value["cases"]:
-                if item["kind"] == "run":
-                    run = ChaosRun.from_json(item["run"])
-                    report.runs.append(run)
-                    if not run.ok and progress:
-                        progress(
-                            f"seed {run.seed}: "
-                            f"{len(run.violations)} violation(s)"
-                        )
-                elif item["kind"] == "infra":
-                    report.infra_errors.append((item["seed"], item["detail"]))
-                    if progress:
-                        progress(
-                            f"seed {item['seed']}: infrastructure error: "
-                            f"{item['detail']}"
-                        )
-            deltas[outcome.shard.index] = outcome.value["telemetry"]
-        elif outcome.status == STATUS_FAILED:
-            for seed in outcome.shard.seeds:
-                report.infra_errors.append((
-                    seed,
-                    f"worker lost shard {outcome.shard.index} after "
-                    f"{outcome.attempts} attempt(s): {outcome.error}",
-                ))
+    def merge(seed: int, unit: Tuple[str, Any]) -> None:
+        kind, payload = unit
+        if kind == "run":
+            report.runs.append(payload)
+            if not payload.ok and progress:
+                progress(f"seed {seed}: {len(payload.violations)} violation(s)")
+        elif kind == "infra":
+            report.infra_errors.append((seed, payload))
             if progress:
-                progress(
-                    f"shard {outcome.shard.index}: worker lost "
-                    f"({outcome.error})"
-                )
-        # skipped shards (deadline) stay absent: their seeds are
-        # resumable, exactly like seeds after a serial deadline break.
-        checkpoint()
+                progress(f"seed {seed}: infrastructure error: {payload}")
 
-    _outcomes, timed_out = run_shards(
-        _chaos_shard_worker, config, shards, jobs=jobs,
-        retries=shard_retries, deadline=deadline, on_result=merge,
+    def lost(outcome) -> None:
+        for seed in outcome.shard.seeds:
+            report.infra_errors.append((
+                seed,
+                f"worker lost shard {outcome.shard.index} after "
+                f"{outcome.attempts} attempt(s): {outcome.error}",
+            ))
+        if progress:
+            progress(f"shard {outcome.shard.index}: worker lost ({outcome.error})")
+
+    result = run_units(
+        _chaos_unit, config, base_seed, budget,
+        merge=merge, encode=_encode_case, decode=_decode_case, lost=lost,
+        jobs=jobs, retries=shard_retries, deadline=deadline,
+        checkpoint=checkpoint,
+        progress=(
+            (lambda done, total: progress(f"{done}/{total} schedules done"))
+            if progress else None
+        ),
     )
-    report.timed_out = timed_out
-    if timed_out and progress:
+    report.timed_out = result.timed_out
+    report.shard_attempts = result.shard_attempts
+    if result.timed_out and progress:
         progress(f"deadline hit after {len(report.runs)} case(s)")
-    merged = telemetry.Snapshot()
-    for index in sorted(deltas):
-        merged = merged.merge(telemetry.Snapshot(deltas[index]))
-    if merged:
-        telemetry.absorb(merged)
-    _finalize(report)
-    checkpoint()
+    # Canonical order: resumed units merge before fresh ones, and a
+    # deadline can leave holes between them.
+    report.runs.sort(key=lambda run: (run.seed, run.case))
+    report.infra_errors.sort()
     return report
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import telemetry
+from ..parallel.campaign import run_units
 from ..workloads.generator import ProgramSpec, generate_fuzz_program, render_program
 from .conformance import (
     DEFAULT_FUZZ_SCHEMES,
@@ -308,40 +309,32 @@ def _check_one(
     return SeedCheck(seed, spec, source, tuple(selected), tuple(gated), failure)
 
 
-def _merge_check(report: FuzzReport, check: SeedCheck) -> None:
-    """Fold one seed's outcome into the campaign report (in seed order)."""
-    for scheme in check.gated:
-        report.skipped[scheme] = report.skipped.get(scheme, 0) + 1
-    report.programs_checked += 1
-    report.runs += 2 * len(check.selected)
-    if check.failure is not None:
-        report.failures.append(check.failure)
+def _fuzz_unit(config: Dict[str, object], seed: int) -> SeedCheck:
+    """The engine's unit: check one seed under the campaign's knobs."""
+    return _check_one(seed, **config)
 
 
-def _fuzz_shard_worker(config: Dict[str, object], seeds, attempt: int):
-    """Process-pool entry point: check one shard's seeds.
+def _encode_check(check: SeedCheck) -> Dict[str, object]:
+    """A check's merge-relevant fields in plain data (worker → parent)."""
+    return {
+        "seed": check.seed,
+        "selected": list(check.selected),
+        "gated": list(check.gated),
+        "failure": check.failure.to_json() if check.failure else None,
+    }
 
-    Module-level (picklable by reference).  Returns plain data only —
-    seed outcomes in artifact form plus the telemetry delta accumulated
-    while checking, so the parent can merge counts deterministically.
-    """
-    before = telemetry.snapshot()
-    checks = []
-    for seed in seeds:
-        check = _check_one(
-            seed,
-            schemes=tuple(config["schemes"]),
-            cycle_limit=config["cycle_limit"],
-            shrink=config["shrink"],
-            max_shrink_checks=config["max_shrink_checks"],
-        )
-        checks.append({
-            "seed": seed,
-            "selected": list(check.selected),
-            "gated": list(check.gated),
-            "failure": check.failure.to_json() if check.failure else None,
-        })
-    return {"checks": checks, "telemetry": telemetry.delta(before)}
+
+def _decode_check(data: Dict[str, object]) -> SeedCheck:
+    return SeedCheck(
+        seed=data["seed"],
+        spec=None,  # only the merge-relevant fields travel
+        source="",
+        selected=tuple(data["selected"]),
+        gated=tuple(data["gated"]),
+        failure=(
+            FuzzFailure.from_json(data["failure"]) if data["failure"] else None
+        ),
+    )
 
 
 def run_fuzz(
@@ -359,13 +352,12 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run a deterministic campaign of ``budget`` generated programs.
 
-    ``jobs > 1`` shards the seed range across a process pool; the shard
-    plan depends only on the budget and results merge in shard order,
-    so the report is bit-identical to a ``jobs=1`` run.  A shard whose
-    worker dies is re-queued ``shard_retries`` times and then recorded
-    as a ``worker-lost`` health failure — never silently dropped.
-    Shards that needed more than one attempt land in
-    ``report.shard_attempts``.
+    The seeds run through :func:`repro.parallel.run_units`: ``jobs > 1``
+    shards them across a process pool and the report is bit-identical
+    to a ``jobs=1`` run.  A shard whose worker dies is re-queued
+    ``shard_retries`` times and then recorded as a ``worker-lost``
+    health failure — never silently dropped.  Shards that needed more
+    than one attempt land in ``report.shard_attempts``.
     """
     schemes = tuple(schemes)
     report = FuzzReport(budget=budget, base_seed=base_seed, schemes=schemes)
@@ -376,81 +368,45 @@ def run_fuzz(
         if report.health_failures and progress:
             progress(f"{len(report.health_failures)} scheme-health failure(s)")
 
-    if jobs <= 1:
-        for index in range(budget):
-            check = _check_one(
-                base_seed + index,
-                schemes=schemes,
-                cycle_limit=cycle_limit,
-                shrink=shrink,
-                max_shrink_checks=max_shrink_checks,
-            )
-            _merge_check(report, check)
-            if check.failure is not None:
-                if progress:
-                    progress(
-                        f"seed {check.seed}: "
-                        f"{len(check.failure.failures)} failure(s)"
-                    )
-            elif progress and (index + 1) % 25 == 0:
-                progress(f"{index + 1}/{budget} programs clean")
-        return report
+    def merge(seed: int, check: SeedCheck) -> None:
+        for scheme in check.gated:
+            report.skipped[scheme] = report.skipped.get(scheme, 0) + 1
+        report.programs_checked += 1
+        report.runs += 2 * len(check.selected)
+        if check.failure is not None:
+            report.failures.append(check.failure)
+            if progress:
+                progress(f"seed {seed}: {len(check.failure.failures)} failure(s)")
 
-    from ..parallel import plan_shards, run_shards
+    def lost(outcome) -> None:
+        seeds = outcome.shard.seeds
+        report.health_failures.append(ConformanceFailure(
+            kind="worker-lost",
+            scheme="-",
+            path="-",
+            detail=(
+                f"shard {outcome.shard.index} "
+                f"(seeds {seeds[0]}..{seeds[-1]}) lost after "
+                f"{outcome.attempts} attempt(s): {outcome.error}"
+            ),
+        ))
 
     config = {
-        "schemes": list(schemes),
+        "schemes": schemes,
         "cycle_limit": cycle_limit,
         "shrink": shrink,
         "max_shrink_checks": max_shrink_checks,
     }
-    shards = plan_shards(base_seed, budget)
-    outcomes, _ = run_shards(
-        _fuzz_shard_worker, config, shards, jobs=jobs, retries=shard_retries,
-        on_result=(
-            (lambda outcome: progress(
-                f"shard {outcome.shard.index}: {len(outcome.shard)} seed(s) "
-                f"{'done' if outcome.ok else outcome.status}"
-            )) if progress else None
+    run = run_units(
+        _fuzz_unit, config, base_seed, budget,
+        merge=merge, encode=_encode_check, decode=_decode_check, lost=lost,
+        jobs=jobs, retries=shard_retries,
+        progress=(
+            (lambda done, total: progress(f"{done}/{total} programs checked"))
+            if progress else None
         ),
     )
-    deltas = []
-    for outcome in outcomes:
-        if outcome.attempts > 1:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.shard_attempts[f"{first}..{last}"] = outcome.attempts
-        if outcome.ok:
-            for item in outcome.value["checks"]:
-                check = SeedCheck(
-                    seed=item["seed"],
-                    spec=None,  # only the merge-relevant fields are needed
-                    source="",
-                    selected=tuple(item["selected"]),
-                    gated=tuple(item["gated"]),
-                    failure=(
-                        FuzzFailure.from_json(item["failure"])
-                        if item["failure"] else None
-                    ),
-                )
-                _merge_check(report, check)
-            deltas.append(outcome.value["telemetry"])
-        else:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.health_failures.append(ConformanceFailure(
-                kind="worker-lost",
-                scheme="-",
-                path="-",
-                detail=(
-                    f"shard {outcome.shard.index} "
-                    f"(seeds {first}..{last}) lost after "
-                    f"{outcome.attempts} attempt(s): {outcome.error}"
-                ),
-            ))
-    merged = telemetry.Snapshot()
-    for delta in deltas:
-        merged = merged.merge(telemetry.Snapshot(delta))
-    if merged:
-        telemetry.absorb(merged)
+    report.shard_attempts = run.shard_attempts
     return report
 
 

@@ -9,7 +9,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from statistics import mean
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,6 +23,7 @@ from ..compiler.codegen import compile_source
 from ..core.deploy import build, deploy
 from ..kernel.kernel import Kernel
 from ..libc.glibc_sim import build_static_glibc
+from ..parallel.campaign import run_units
 from ..rewriter.dyninst import instrument_static_binary
 from ..rewriter.rewrite import instrument_binary
 from ..workloads.database import DATABASES, DatabaseStats
@@ -487,43 +488,22 @@ _EFFECTIVENESS_CELLS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _effectiveness_cell(
-    server_name: str, scheme: str, *, seed: int, max_trials: int
-) -> EffectivenessRow:
-    """Attack one (server, scheme) cell; the unit of §VI-C work."""
+def _effectiveness_unit(config: Dict[str, object], index: int) -> EffectivenessRow:
+    """Attack grid cell ``index``; the engine's unit of §VI-C work."""
+    server_name, scheme = _EFFECTIVENESS_CELLS[index]
     source = ATTACK_VICTIM_SOURCE if server_name == "nginx" else ALI_SOURCE
-    kernel = Kernel(seed)
+    kernel = Kernel(config["seed"])
     binary = build(source, scheme, name=server_name)
     parent, _ = deploy(kernel, binary, scheme)
     server = ForkingServer(kernel, parent)
     frame = frame_map(binary, "handler")
     before = telemetry.snapshot()
-    report = byte_by_byte_attack(server, frame, max_trials=max_trials)
+    report = byte_by_byte_attack(server, frame, max_trials=config["max_trials"])
     delta = telemetry.delta(before)
     smashes = int(delta.get("canary_smashes_detected_total", 0) or 0)
     return EffectivenessRow(
         server_name, scheme, report.success, report.trials, smashes
     )
-
-
-def _effectiveness_worker(config: Dict[str, object], indices, attempt: int):
-    """Process-pool entry point: attack one shard's grid cells."""
-    before = telemetry.snapshot()
-    rows = []
-    for index in indices:
-        server_name, scheme = _EFFECTIVENESS_CELLS[index]
-        row = _effectiveness_cell(
-            server_name, scheme,
-            seed=config["seed"], max_trials=config["max_trials"],
-        )
-        rows.append({
-            "server": row.server,
-            "scheme": row.scheme,
-            "attack_succeeded": row.attack_succeeded,
-            "trials": row.trials,
-            "smashes_detected": row.smashes_detected,
-        })
-    return {"rows": rows, "telemetry": telemetry.delta(before)}
 
 
 def effectiveness(
@@ -535,47 +515,27 @@ def effectiveness(
 ) -> EffectivenessReport:
     """Regenerate §VI-C: byte-by-byte vs SSP/P-SSP servers + compat runs.
 
-    ``jobs > 1`` runs the four attack cells across a process pool (the
-    compatibility runs stay in-process); rows merge in grid order, so
-    the report matches a serial run exactly.  A cell whose worker died
-    is re-run in-process — the grid is never left incomplete.
+    The four attack cells run through :func:`repro.parallel.run_units`
+    (the compatibility runs stay in-process); rows merge in grid order,
+    so a ``jobs > 1`` report matches a serial run exactly.  A cell whose
+    worker died is re-run in-process — the grid is never left
+    incomplete.
     """
     rows: List[EffectivenessRow] = []
-    if jobs <= 1:
-        for server_name, scheme in _EFFECTIVENESS_CELLS:
-            rows.append(_effectiveness_cell(
-                server_name, scheme, seed=seed, max_trials=max_trials
-            ))
-    else:
-        from ..parallel import plan_shards, run_shards
+    config = {"seed": seed, "max_trials": max_trials}
 
-        config = {"seed": seed, "max_trials": max_trials}
-        shards = plan_shards(0, len(_EFFECTIVENESS_CELLS))
-        outcomes, _ = run_shards(
-            _effectiveness_worker, config, shards, jobs=jobs, retries=1,
+    def rerun(outcome) -> None:
+        rows.extend(
+            _effectiveness_unit(config, index) for index in outcome.shard.seeds
         )
-        merged = telemetry.Snapshot()
-        for outcome in outcomes:
-            if outcome.ok:
-                rows.extend(
-                    EffectivenessRow(
-                        row["server"], row["scheme"],
-                        row["attack_succeeded"], row["trials"],
-                        row["smashes_detected"],
-                    )
-                    for row in outcome.value["rows"]
-                )
-                merged = merged.merge(
-                    telemetry.Snapshot(outcome.value["telemetry"])
-                )
-            else:
-                for index in outcome.shard.seeds:
-                    server_name, scheme = _EFFECTIVENESS_CELLS[index]
-                    rows.append(_effectiveness_cell(
-                        server_name, scheme, seed=seed, max_trials=max_trials
-                    ))
-        if merged:
-            telemetry.absorb(merged)
+
+    run_units(
+        _effectiveness_unit, config, 0, len(_EFFECTIVENESS_CELLS),
+        merge=lambda index, row: rows.append(row),
+        encode=astuple,
+        decode=lambda fields: EffectivenessRow(*fields),
+        lost=rerun, jobs=jobs,
+    )
 
     # Compatibility: P-SSP-compiled program calling SSP-compiled "library"
     # code, and vice versa, running under the P-SSP preload.  The paper's

@@ -6,9 +6,16 @@ seeded loops over ``[base_seed, base_seed + budget)``.  This package
 makes them scale across cores without giving up the determinism
 contract that one seed reproduces one case bit-for-bit:
 
+* :mod:`repro.parallel.campaign` — the one campaign engine: every
+  runner hands it a ``run_unit(config, seed)`` contract plus merge,
+  encode/decode and lost-shard mappings, and the engine runs the units
+  serially or sharded, owns the deadline, retries and telemetry-delta
+  merge, and keeps the one checkpoint format.
 * :mod:`repro.parallel.sharding` — jobs-independent partition of a
-  campaign into ordered shards, plus the one shared ``--jobs``
-  resolution helper (validation, ``REPRO_JOBS`` default, CPU cap).
+  campaign into ordered shards, plus the one shared registration and
+  resolution of the campaign CLI flags (``--jobs`` with its
+  ``REPRO_JOBS`` default and CPU cap, ``--shard-retries``,
+  ``--checkpoint``/``--resume``).
 * :mod:`repro.parallel.executor` — a crash-tolerant process-pool
   runner: bounded in-flight work, per-shard timeout, one re-queue for
   a crashed worker's slice, then an explicit infra failure — never a
@@ -37,6 +44,12 @@ from .buildcache import (
     reset_build_cache,
     toolchain_fingerprint,
 )
+from .campaign import (
+    CHECKPOINT_VERSION,
+    Checkpoint,
+    open_checkpoint,
+    run_units,
+)
 from .executor import (
     STATUS_FAILED,
     STATUS_OK,
@@ -49,12 +62,12 @@ from .sharding import (
     MAX_SHARD_SEEDS,
     TARGET_SHARDS,
     Shard,
+    add_campaign_arguments,
     add_jobs_argument,
-    add_shard_retries_argument,
     default_jobs,
     plan_shards,
+    resolve_campaign_arguments,
     resolve_jobs,
-    resolve_shard_retries,
     shard_size_for,
 )
 from .snapcache import (
@@ -70,10 +83,11 @@ __all__ = [
     "toolchain_fingerprint", "TOOLCHAIN_VERSION", "DEFAULT_MAX_ENTRIES",
     "SnapshotCache", "image_cache", "reset_image_cache",
     "directory_stats", "DEFAULT_MAX_IMAGES",
+    "run_units", "open_checkpoint", "Checkpoint", "CHECKPOINT_VERSION",
     "ShardOutcome", "run_shards",
     "STATUS_OK", "STATUS_FAILED", "STATUS_SKIPPED",
     "Shard", "plan_shards", "shard_size_for",
-    "add_jobs_argument", "add_shard_retries_argument",
-    "default_jobs", "resolve_jobs", "resolve_shard_retries",
+    "add_campaign_arguments", "add_jobs_argument",
+    "default_jobs", "resolve_campaign_arguments", "resolve_jobs",
     "JOBS_ENV_VAR", "TARGET_SHARDS", "MAX_SHARD_SEEDS",
 ]

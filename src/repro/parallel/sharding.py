@@ -9,10 +9,12 @@ under ``--jobs 1`` or ``--jobs 64``.  That invariant is what makes the
 merged report reproducible: results are folded in shard order, not
 completion order, so the aggregate is independent of scheduling.
 
-The module also owns the one shared ``--jobs`` resolution helper used
-by every subcommand and benchmark (validation, the ``REPRO_JOBS``
-environment default, and the CPU-count cap), so the rules cannot drift
-between entry points.
+The module also owns the campaign CLI flags: the one shared ``--jobs``
+resolution (validation, the ``REPRO_JOBS`` environment default, and the
+CPU-count cap) used by every subcommand and benchmark, plus the
+registration and validation of ``--shard-retries`` and
+``--checkpoint``/``--resume``, so the rules cannot drift between entry
+points.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def plan_shards(
 
 
 # ---------------------------------------------------------------------------
-# --jobs resolution (the one shared implementation; see module docstring)
+# campaign flags (the one shared implementation; see module docstring)
 # ---------------------------------------------------------------------------
 
 
@@ -142,23 +144,50 @@ def add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def resolve_shard_retries(retries: int) -> int:
-    """Validate a ``--shard-retries`` value.
+def add_campaign_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    shard_retries: bool = True,
+    checkpoint: bool = False,
+) -> None:
+    """Attach the campaign flags to a subcommand parser.
 
-    ``retries`` is the number of re-queues a lost shard gets before the
-    campaign reports its seeds as infrastructure failures.  Zero is
-    legal (fail fast); negatives are not.
+    Every campaign command takes ``--jobs``; those that shard through
+    the engine with a retry budget take ``--shard-retries``; the
+    resumable ones (chaos, fleet) take ``--checkpoint``/``--resume``.
+    :func:`resolve_campaign_arguments` validates whichever are present.
     """
+    add_jobs_argument(parser)
+    if shard_retries:
+        parser.add_argument(
+            "--shard-retries", type=int, default=1, metavar="N",
+            help="re-queues per lost shard before its seeds are reported "
+                 "as infrastructure failures (default: 1)",
+        )
+    if checkpoint:
+        parser.add_argument(
+            "--checkpoint", default=None, metavar="FILE",
+            help="write a resumable checkpoint after every completed "
+                 "unit (serial) or shard (--jobs N)",
+        )
+        parser.add_argument(
+            "--resume", action="store_true",
+            help="skip the units already in --checkpoint",
+        )
+
+
+def resolve_campaign_arguments(args: argparse.Namespace) -> None:
+    """Validate and normalise the campaign flags of ``args`` in place.
+
+    Commands without campaign flags pass through untouched.  Raises
+    :class:`ValueError` (a usage error at the CLI) for a bad ``--jobs``
+    or ``REPRO_JOBS`` value, a negative ``--shard-retries``, or
+    ``--resume`` without ``--checkpoint``.
+    """
+    if hasattr(args, "jobs"):
+        args.jobs = resolve_jobs(args.jobs)
+    retries = getattr(args, "shard_retries", 0)
     if retries < 0:
         raise ValueError(f"--shard-retries must be >= 0, got {retries}")
-    return retries
-
-
-def add_shard_retries_argument(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--shard-retries`` option to a subcommand
-    parser (campaign commands that fan out through ``run_shards``)."""
-    parser.add_argument(
-        "--shard-retries", type=int, default=1, metavar="N",
-        help="re-queues per lost shard before its seeds are reported "
-             "as infrastructure failures (default: 1)",
-    )
+    if getattr(args, "resume", False) and not args.checkpoint:
+        raise ValueError("--resume requires --checkpoint")

@@ -1,13 +1,14 @@
 """Chaos campaigns: canned cases, replay, checkpointing, the auditor."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro import cli
 from repro.errors import CampaignError
 from repro.faults.campaign import (
     CanaryAuditor,
-    ChaosReport,
     canned_invariant_cases,
     replay_case,
     run_campaign,
@@ -22,6 +23,7 @@ from repro.faults.chaos_mutants import (
 from repro.faults.plane import FaultPlane
 from repro.faults.policy import AUDIT_REPEAT_THRESHOLD
 from repro.faults.schedule import FaultSchedule
+from repro.parallel import CHECKPOINT_VERSION
 
 CASES = canned_invariant_cases()
 
@@ -97,17 +99,25 @@ class TestCampaign:
         assert sorted(seeds) == list(range(2018, 2024))
         assert len(set(seeds)) == 6  # resume re-ran nothing
 
+    @pytest.mark.parametrize("changed", [
+        {"base_seed": 5000},
+        {"schemes": ("pssp",)},
+        {"cycle_limit": 1_000_000},
+        {"audit": False},
+        {"retries": 3},
+    ], ids=lambda changed: next(iter(changed)))
+    def test_resume_refuses_a_different_campaign(self, tmp_path, changed):
+        checkpoint = str(tmp_path / "chaos.json")
+        run_campaign(1, base_seed=2018, checkpoint_path=checkpoint)
+        resume = dict(base_seed=2018, checkpoint_path=checkpoint, resume=True)
+        with pytest.raises(CampaignError, match="does not match"):
+            run_campaign(1, **{**resume, **changed})
+
     def test_deadline_stops_the_campaign_with_a_typed_flag(self):
         report = run_campaign(50, base_seed=2018, deadline=0.0)
         assert report.timed_out
         assert not report.ok
         assert len(report.runs) < 50
-
-    def test_report_json_round_trip(self):
-        report = run_campaign(2, base_seed=2018)
-        clone = ChaosReport.from_json(report.to_json())
-        assert clone.to_json() == report.to_json()
-        assert clone.completed_seeds == report.completed_seeds
 
     def test_broken_scheme_surfaces_as_campaign_error(self):
         with pytest.raises(CampaignError):
@@ -202,3 +212,34 @@ class TestAcceptanceCampaign:
         tally = report.outcome_tally()
         assert tally.get("identical", 0) > 0
         assert tally.get("degraded", 0) > 0
+
+
+class TestChaosCli:
+    def test_checkpoint_is_written_atomically_in_the_engine_format(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "ckpt.json"
+        code = cli.main(["chaos", "--budget", "2", "--checkpoint", str(path)])
+        assert code == cli.EXIT_OK
+        data = json.loads(path.read_text())
+        assert data["version"] == CHECKPOINT_VERSION
+        assert data["kind"] == "chaos-checkpoint"
+        assert sorted(data["units"]["units"]) == ["2018", "2019"]
+        assert not (tmp_path / "ckpt.json.tmp").exists()
+        capsys.readouterr()
+
+    def test_corrupt_checkpoint_is_an_infrastructure_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 2, "kind": "chaos-che')
+        code = cli.main([
+            "chaos", "--budget", "2", "--checkpoint", str(path), "--resume",
+        ])
+        assert code == cli.EXIT_INFRASTRUCTURE
+        assert "infrastructure error:" in capsys.readouterr().err
+
+    def test_resume_requires_checkpoint(self, capsys):
+        code = cli.main(["chaos", "--budget", "2", "--resume"])
+        assert code == cli.EXIT_USAGE
+        assert "--resume requires --checkpoint" in capsys.readouterr().err

@@ -21,6 +21,8 @@ from repro.errors import CampaignError, ShutdownRequested
 from repro.fleet import campaign as campaign_module
 from repro.fleet.campaign import run_fleet, run_fleet_slice
 
+from ..parallel.shard_killer import kill_shard
+
 KWARGS = dict(schemes=("pssp",), slice_requests=100, chaos=True)
 
 
@@ -48,7 +50,7 @@ class TestCheckpoint:
         run_fleet(300, checkpoint_path=str(path), **KWARGS)
         data = json.loads(path.read_text())
         assert data["kind"] == "fleet-checkpoint"
-        assert sorted(data["slices"]["pssp"]) == [
+        assert sorted(data["units"]["pssp"]) == [
             "20180625", "20180626", "20180627"
         ]
 
@@ -61,7 +63,7 @@ class TestCheckpoint:
         with pytest.raises(ShutdownRequested):
             run_fleet(500, checkpoint_path=str(path), **KWARGS)
         monkeypatch.undo()
-        done = json.loads(path.read_text())["slices"]["pssp"]
+        done = json.loads(path.read_text())["units"]["pssp"]
         assert len(done) == 2  # partial progress persisted
         resumed = run_fleet(
             500, checkpoint_path=str(path), resume=True, **KWARGS
@@ -123,7 +125,7 @@ class TestSignalShutdown:
         while time.monotonic() < deadline:
             if ckpt.exists() and json.loads(
                 ckpt.read_text()
-            )["slices"].get("pssp"):
+            )["units"].get("pssp"):
                 break
             if proc.poll() is not None:
                 break
@@ -149,15 +151,6 @@ class TestSignalShutdown:
 
 # -- requeued shards ----------------------------------------------------------
 
-_REAL_FLEET_WORKER = campaign_module._fleet_shard_worker
-
-
-def _fleet_killer_once(config, seeds, attempt):
-    if attempt == 1 and seeds[0] == config["_poison_seed"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_FLEET_WORKER(config, seeds, attempt)
-
-
 class TestRequeuedShards:
     @given(poison_index=st.integers(0, 3))
     @settings(deadline=None, max_examples=4)
@@ -166,25 +159,12 @@ class TestRequeuedShards:
     ):
         """Property: whichever shard dies and is requeued, the slices it
         finally delivers are bit-identical to an undisturbed run."""
-        from repro import parallel
-
         straight = run_fleet(400, **KWARGS)
-        poison_seed = 20180625 + poison_index
-
-        real_run_shards = parallel.run_shards
-
-        def poisoned_run_shards(worker, config, shards, **kwargs):
-            return real_run_shards(
-                _fleet_killer_once,
-                dict(config, _poison_seed=poison_seed), shards, **kwargs
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            kill_shard(
+                monkeypatch, 20180625 + poison_index, every_attempt=False
             )
-
-        original = parallel.run_shards
-        parallel.run_shards = poisoned_run_shards
-        try:
             retried = run_fleet(400, jobs=2, **KWARGS)
-        finally:
-            parallel.run_shards = original
 
         assert retried.lost_slices == 0
         scheme = retried.reports[0]

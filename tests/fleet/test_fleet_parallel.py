@@ -12,16 +12,15 @@ runners.
 """
 
 import json
-import os
-import signal
 
 import pytest
 
 from repro.core.deploy import SCHEMES
-from repro.fleet import campaign as campaign_module
 from repro.fleet.campaign import run_fleet
 from repro.fleet.traffic import TrafficConfig
 from repro.parallel.snapcache import reset_image_cache
+
+from ..parallel.shard_killer import kill_shard
 
 
 def fingerprint(report):
@@ -58,45 +57,9 @@ class TestJobsInvariance:
         assert delta.get("fleet_requests_total") == report.total_requests
 
 
-# Module-level killer workers: the pool pickles submitted functions by
-# reference, so they must live at import scope.  The seed to die on
-# rides in through the (pickled) config dict, not a closure.
-
-_REAL_FLEET_WORKER = campaign_module._fleet_shard_worker
-
-
-def _fleet_killer_always(config, seeds, attempt):
-    if seeds[0] == config["_poison_seed"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_FLEET_WORKER(config, seeds, attempt)
-
-
-def _fleet_killer_once(config, seeds, attempt):
-    if attempt == 1 and seeds[0] == config["_poison_seed"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_FLEET_WORKER(config, seeds, attempt)
-
-
-def _poison(monkeypatch, seed):
-    """Inject a poison seed into the shard config run_fleet submits."""
-    from repro import parallel
-
-    real_run_shards = parallel.run_shards
-
-    def poisoned_run_shards(worker, config, shards, **kwargs):
-        return real_run_shards(
-            worker, dict(config, _poison_seed=seed), shards, **kwargs
-        )
-
-    monkeypatch.setattr("repro.parallel.run_shards", poisoned_run_shards)
-
-
 class TestWorkerLoss:
     def test_lost_shard_surfaces_as_lost_slices(self, monkeypatch):
-        monkeypatch.setattr(
-            campaign_module, "_fleet_shard_worker", _fleet_killer_always
-        )
-        _poison(monkeypatch, 20180625)
+        kill_shard(monkeypatch, 20180625, every_attempt=True)
         report = run_fleet(
             300, schemes=("pssp",), slice_requests=100, jobs=2
         )
@@ -112,10 +75,7 @@ class TestWorkerLoss:
         self, monkeypatch
     ):
         serial = run_fleet(300, schemes=("pssp",), slice_requests=100)
-        monkeypatch.setattr(
-            campaign_module, "_fleet_shard_worker", _fleet_killer_once
-        )
-        _poison(monkeypatch, 20180625)
+        kill_shard(monkeypatch, 20180625, every_attempt=False)
         report = run_fleet(
             300, schemes=("pssp",), slice_requests=100, jobs=2
         )

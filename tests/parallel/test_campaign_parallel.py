@@ -2,22 +2,20 @@
 
 The quick tests here run small campaigns; the ``slow``-marked ones at
 the bottom are the 50-case acceptance versions run by the scheduled CI
-jobs.  The killer workers are module-level so the pool can pickle them,
-and they crash on ``attempt == 1`` only — deterministic, no flag files.
+jobs.  Worker crashes go through the engine's one worker seam
+(``shard_killer.kill_shard``).
 """
 
 import json
-import os
-import signal
 
 import pytest
 
-import repro.faults.campaign as campaign_module
-import repro.fuzz.fuzzer as fuzzer_module
 from repro import telemetry
 from repro.attacks.trials import attack_campaign
 from repro.faults.campaign import run_campaign
 from repro.fuzz.fuzzer import run_fuzz
+
+from .shard_killer import kill_shard
 
 
 def _fuzz_json(report):
@@ -88,55 +86,10 @@ class TestAttackBitIdentity:
 # -- worker-crash handling ----------------------------------------------------
 
 
-_REAL_FUZZ_WORKER = fuzzer_module._fuzz_shard_worker
-_REAL_CHAOS_WORKER = campaign_module._chaos_shard_worker
-
-
-def _fuzz_killer_once(config, seeds, attempt):
-    """Die mid-shard on the first attempt at the first shard."""
-    if attempt == 1 and seeds[0] == config["_poison_seed"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_FUZZ_WORKER(config, seeds, attempt)
-
-
-def _fuzz_killer_always(config, seeds, attempt):
-    if seeds[0] == config["_poison_seed"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_FUZZ_WORKER(config, seeds, attempt)
-
-
-def _chaos_killer_always(config, seeds, attempt):
-    if seeds[0] == config["_poison_seed"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_CHAOS_WORKER(config, seeds, attempt)
-
-
-def _poison(monkeypatch, seed):
-    """Make the campaigns' run_shards inject a poison seed into config.
-
-    The pool pickles the submitted worker by reference, so the killer
-    must be a module-level function; the seed it should die on rides in
-    through the (pickled) config dict instead of a closure.
-    """
-    from repro import parallel
-
-    real_run_shards = parallel.run_shards
-
-    def poisoned_run_shards(worker, config, shards, **kwargs):
-        return real_run_shards(
-            worker, dict(config, _poison_seed=seed), shards, **kwargs
-        )
-
-    monkeypatch.setattr("repro.parallel.run_shards", poisoned_run_shards)
-
-
 class TestWorkerLoss:
     def test_killed_fuzz_worker_retried_to_full_report(self, monkeypatch):
         serial = run_fuzz(6, base_seed=2018, shrink=False, health=False)
-        monkeypatch.setattr(
-            fuzzer_module, "_fuzz_shard_worker", _fuzz_killer_once
-        )
-        _poison(monkeypatch, 2018)
+        kill_shard(monkeypatch, 2018, every_attempt=False)
         pooled = run_fuzz(
             6, base_seed=2018, shrink=False, health=False, jobs=2
         )
@@ -147,10 +100,7 @@ class TestWorkerLoss:
         assert _fuzz_json(serial) == _fuzz_json(pooled)
 
     def test_lost_fuzz_shard_reported_never_dropped(self, monkeypatch):
-        monkeypatch.setattr(
-            fuzzer_module, "_fuzz_shard_worker", _fuzz_killer_always
-        )
-        _poison(monkeypatch, 2018)
+        kill_shard(monkeypatch, 2018, every_attempt=True)
         report = run_fuzz(
             6, base_seed=2018, shrink=False, health=False, jobs=2
         )
@@ -165,10 +115,7 @@ class TestWorkerLoss:
         assert report.programs_checked == 5
 
     def test_lost_chaos_shard_becomes_infra_errors(self, monkeypatch):
-        monkeypatch.setattr(
-            campaign_module, "_chaos_shard_worker", _chaos_killer_always
-        )
-        _poison(monkeypatch, 2019)
+        kill_shard(monkeypatch, 2019, every_attempt=True)
         report = run_campaign(6, base_seed=2018, jobs=2)
         # The lost shard's seed surfaced as a per-seed infra error
         # (exit 3 at the CLI), and every other seed completed.

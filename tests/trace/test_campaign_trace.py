@@ -1,14 +1,15 @@
 """Campaign tracing: jobs-N byte-identity, Perfetto export, lost shards."""
 
 import json
-import os
-import signal
 
 import pytest
 
+from repro.errors import ShutdownRequested
 from repro.fleet import campaign as campaign_module
 from repro.fleet.campaign import run_fleet
 from repro.trace import CampaignTrace, TraceConfig, replay_bundle
+
+from ..parallel.shard_killer import kill_shard
 
 CONFIG = TraceConfig(series_interval=25)
 
@@ -81,39 +82,43 @@ class TestPerfettoShape:
             json.dumps(serial.trace.perfetto(), sort_keys=True)
 
 
-class TestGuards:
-    def test_tracing_refuses_checkpoints(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
+class TestCheckpoint:
+    def test_traced_campaign_resumes_to_the_uninterrupted_trace(
+        self, serial_and_sharded, tmp_path, monkeypatch
+    ):
+        serial, _ = serial_and_sharded
+        path = str(tmp_path / "ckpt.json")
+        real = campaign_module.run_fleet_slice
+        done = []
+
+        def interrupting(*args, **kwargs):
+            if len(done) == 3:
+                raise ShutdownRequested("test interrupt")
+            done.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "run_fleet_slice", interrupting)
+        with pytest.raises(ShutdownRequested):
             run_fleet(
-                100, schemes=("ssp",), slice_requests=100, trace=CONFIG,
-                checkpoint_path=str(tmp_path / "ckpt.json"),
+                200, schemes=("ssp", "pssp"), slice_requests=100,
+                trace=CONFIG, checkpoint_path=path,
             )
-
-
-# The pool pickles workers by reference, so the killer must live at
-# import scope; the poison seed rides in through the shipped config.
-_REAL_WORKER = campaign_module._fleet_shard_worker
-
-
-def _killer(config, seeds, attempt):
-    if seeds[0] == config["_poison_seed"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_WORKER(config, seeds, attempt)
+        monkeypatch.undo()
+        # The checkpointed slices carry their traces, so the resumed
+        # trace (and report) are those of an uninterrupted run.
+        resumed = run_fleet(
+            200, schemes=("ssp", "pssp"), slice_requests=100, jobs=2,
+            trace=CONFIG, checkpoint_path=path, resume=True,
+        )
+        assert json.dumps(resumed.trace.to_json(), sort_keys=True) == \
+            json.dumps(serial.trace.to_json(), sort_keys=True)
+        assert json.dumps(resumed.to_json(), sort_keys=True) == \
+            json.dumps(serial.to_json(), sort_keys=True)
 
 
 class TestWorkerLoss:
     def test_lost_shard_leaves_a_replayable_bundle(self, monkeypatch):
-        from repro import parallel
-
-        monkeypatch.setattr(campaign_module, "_fleet_shard_worker", _killer)
-        real_run_shards = parallel.run_shards
-
-        def poisoned(worker, config, shards, **kwargs):
-            return real_run_shards(
-                worker, dict(config, _poison_seed=20180625), shards, **kwargs
-            )
-
-        monkeypatch.setattr("repro.parallel.run_shards", poisoned)
+        kill_shard(monkeypatch, 20180625, every_attempt=True)
         report = run_fleet(
             200, schemes=("ssp",), slice_requests=100, jobs=2,
             shard_retries=0, trace=CONFIG,

@@ -87,16 +87,16 @@ class TestPostmortemCommand:
 
 
 class TestFleetTraceFlags:
-    def test_trace_out_with_checkpoint_is_a_usage_error(
-        self, tmp_path, capsys
-    ):
+    def test_trace_out_combines_with_checkpoint(self, tmp_path, capsys):
         code = cli.main([
-            "fleet", "--budget", "100",
+            "fleet", "--budget", "100", "--schemes", "ssp",
             "--trace-out", str(tmp_path / "t.json"),
             "--checkpoint", str(tmp_path / "c.json"),
         ])
-        assert code == EXIT_USAGE
-        assert "--trace-out" in capsys.readouterr().err
+        assert code == EXIT_OK
+        assert (tmp_path / "t.json").exists()
+        assert (tmp_path / "c.json").exists()
+        capsys.readouterr()
 
     def test_fleet_writes_trace_and_bundles(self, tmp_path, capsys):
         trace_path = tmp_path / "fleet-trace.json"
