@@ -1,24 +1,25 @@
 #!/usr/bin/env python
 """Fleet campaign benchmark: million-request throughput, gated reports.
 
-Four claims from the fleet plane are measured and gated:
+Four claims from the fleet plane are measured and gated (that a
+``--jobs N`` report is bit-identical to the serial one, chaos included,
+is gated by the invariance matrix, ``tests/invariance``):
 
-* **Determinism** — a probe campaign run with ``--jobs 2`` must produce
-  a report bit-identical to the serial run, and the campaign summaries
-  must match the committed ``BENCH_fleet.json`` baseline field-for-field
-  (every summary number is derived from seeded simulated state, so an
-  exact comparison is the correct one).  A divergence is a correctness
-  bug (exit 2), never waived.
+* **Determinism** — the campaign summaries must match the committed
+  ``BENCH_fleet.json`` baseline field-for-field (every summary number is
+  derived from seeded simulated state, so an exact comparison is the
+  correct one).  A divergence is a correctness bug (exit 2), never
+  waived.
 * **Security story** — the per-scheme numbers must reproduce the paper:
   byte-by-byte brute force breaches ``ssp`` and nothing else, leak
   replay breaches everything but ``pssp-owf``, and every scheme with a
   canary detects smashes.  Also exit 2: if this drifts the reproduction
   is wrong, not slow.
 * **Supervision under chaos** — a fixed-size chaos campaign (seeded
-  fault schedules injected under live traffic) must stay jobs-invariant,
-  audit cleanly, and reproduce the committed supervision numbers
-  exactly: deadline reaps, breaker trips, parent restarts, quarantined
-  requests, and the re-randomization-window stretch.  The chaos probe
+  fault schedules injected under live traffic) must audit cleanly and
+  reproduce the committed supervision numbers exactly: deadline reaps,
+  breaker trips, parent restarts, quarantined requests, and the
+  re-randomization-window stretch.  The chaos probe
   is the same size in both modes, so its numbers are shared between the
   ``smoke`` and ``full`` baseline sections.  Exit 2 on divergence.
 * **Throughput** — the full campaign serves >= 10^6 requests, and the
@@ -40,7 +41,7 @@ mode (``smoke`` / ``full``); a run compares against the section that
 matches its mode.
 
 Exit status: 0 on success, 1 if the throughput gate fails, 2 on any
-correctness divergence (jobs, baseline, or security story).
+correctness divergence (baseline or security story).
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ FULL_BUDGET = 251_000
 SMOKE_BUDGET = 2_000
 SLICE_REQUESTS = 1_000
 
-#: The jobs-invariance probe (both modes): small enough to run twice.
-PROBE_BUDGET = 600
-PROBE_SLICE = 200
-PROBE_SCHEMES = ("ssp", "pssp")
-
 #: The chaos probe (both modes, fixed size so its gated numbers are
 #: mode-independent): one surface where faults stretch the window
 #: (``pssp-nt-hardened``, rdrand starvation burns guest retry cycles)
@@ -106,42 +102,19 @@ SUPERVISION_GATED_FIELDS = (
 )
 
 
-def measure_jobs_invariance() -> dict:
-    serial = run_fleet(
-        PROBE_BUDGET, schemes=PROBE_SCHEMES, slice_requests=PROBE_SLICE
-    )
-    pooled = run_fleet(
-        PROBE_BUDGET, schemes=PROBE_SCHEMES, slice_requests=PROBE_SLICE,
-        jobs=2,
-    )
-    return {
-        "budget": PROBE_BUDGET,
-        "schemes": list(PROBE_SCHEMES),
-        "identical": (
-            json.dumps(serial.to_json(), sort_keys=True)
-            == json.dumps(pooled.to_json(), sort_keys=True)
-        ),
-    }
-
-
 def measure_chaos() -> dict:
-    kwargs = dict(
-        schemes=CHAOS_SCHEMES, slice_requests=SLICE_REQUESTS, chaos=True
+    report = run_fleet(
+        CHAOS_BUDGET, schemes=CHAOS_SCHEMES, slice_requests=SLICE_REQUESTS,
+        chaos=True, jobs=2,
     )
-    serial = run_fleet(CHAOS_BUDGET, **kwargs)
-    pooled = run_fleet(CHAOS_BUDGET, jobs=2, **kwargs)
     return {
         "budget_per_scheme": CHAOS_BUDGET,
         "schemes": list(CHAOS_SCHEMES),
-        "chaos_seed": serial.chaos_seed,
-        "identical": (
-            json.dumps(serial.to_json(), sort_keys=True)
-            == json.dumps(pooled.to_json(), sort_keys=True)
-        ),
-        "lost_slices": pooled.lost_slices,
-        "audit_divergences": len(pooled.audit_divergences),
+        "chaos_seed": report.chaos_seed,
+        "lost_slices": report.lost_slices,
+        "audit_divergences": len(report.audit_divergences),
         "supervision": {
-            r.scheme: r.supervision_summary() for r in pooled.reports
+            r.scheme: r.supervision_summary() for r in report.reports
         },
     }
 
@@ -312,22 +285,18 @@ def main(argv=None) -> int:
     )
     mode = "smoke" if budget < FULL_BUDGET else "full"
 
-    probe = measure_jobs_invariance()
     campaign = measure_campaign(budget)
     chaos = measure_chaos()
     report = {
         "mode": mode,
         "cores": os.cpu_count() or 1,
-        "probe": probe,
         "campaign": campaign,
         "chaos": chaos,
     }
 
     print(f"fleet campaign benchmark ({mode}, {report['cores']} cores)")
-    print(f"  jobs probe ({probe['budget']}/scheme): "
-          f"identical={probe['identical']}")
     print(f"  chaos probe ({chaos['budget_per_scheme']}/scheme, "
-          f"seed {chaos['chaos_seed']}): identical={chaos['identical']}")
+          f"seed {chaos['chaos_seed']})")
     for scheme, s in chaos["supervision"].items():
         stretch = s["rerand_window_stretch"]
         print(f"    {scheme:16s} quarantined {s['quarantined_requests']:>5,d} "
@@ -347,17 +316,6 @@ def main(argv=None) -> int:
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-
-    if not probe["identical"]:
-        print("PARALLEL/SERIAL DIVERGENCE (correctness bug): the jobs=2 "
-              "fleet report does not match the serial report",
-              file=sys.stderr)
-        return 2
-    if not chaos["identical"]:
-        print("PARALLEL/SERIAL DIVERGENCE (correctness bug): the jobs=2 "
-              "chaos report does not match the serial report",
-              file=sys.stderr)
-        return 2
 
     problems = check_story(campaign["summaries"])
     problems.extend(check_chaos(chaos))

@@ -5,19 +5,17 @@
 cost linear in guest memory.  With copy-on-write paging it is O(pages
 touched): cloning shares every frozen page and only the pages a side
 writes afterwards are materialised.  This bench gates that property
-three ways:
+two ways (that a COW fork and an eager deep-copy fork,
+``REPRO_COW_FORK=0``, give bit-identical parents and children is gated
+by the invariance matrix, ``tests/invariance``, on this workload):
 
-1. **Correctness (exit 2)** — for identically seeded kernels, a COW
-   fork and an eager deep-copy fork (``REPRO_COW_FORK=0``) must produce
-   bit-identical children per ``architectural_snapshot``, and the
-   children must stay bit-identical after both run the same handler.
-2. **Sublinearity, deterministic (exit 2)** — the number of pages
+1. **Sublinearity, deterministic (exit 2)** — the number of pages
    materialised by a fork (child private pages right after the fork
    hooks ran) must not grow with the stack size.  This is a page count,
    not a timing: it is machine-independent and cannot be fooled by
    runner noise.  A 4 MB stack is ~64x the pages of a 64 KB stack; the
    fork copy-set must be identical for both.
-3. **Wall clock (exit 1 with --compare)** — the measured time ratio
+2. **Wall clock (exit 1 with --compare)** — the measured time ratio
    ``t(largest stack) / t(smallest stack)`` must stay under a generous
    cap (linear copying would show ~64x), and the COW-vs-eager speedup
    at the largest size must stay above the committed floor.
@@ -30,14 +28,13 @@ Usage::
     python benchmarks/bench_fork.py --compare benchmarks/BENCH_fork.json
 
 Exit status: 0 on success, 1 on a gated perf regression, 2 on a
-correctness or sublinearity violation.
+sublinearity violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -47,10 +44,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.deploy import build, deploy  # noqa: E402
 from repro.kernel.kernel import Kernel  # noqa: E402
-from repro.machine.debug import (  # noqa: E402
-    architectural_snapshot,
-    snapshot_divergences,
-)
 
 #: Stack sizes swept (bytes).  64 KB .. 4 MB spans a 64x page-count range.
 STACK_SIZES = (0x10000, 0x40000, 0x100000, 0x400000)
@@ -86,38 +79,6 @@ def _deploy(stack_size: int, *, seed: int = 9001):
     process, _ = deploy(kernel, binary, "pssp", stack_size=stack_size)
     process.run()
     return kernel, process
-
-
-def check_cow_eager_identity() -> list:
-    """Gate 1: COW and eager forks must be bit-identical twins."""
-    divergences = []
-    try:
-        os.environ["REPRO_COW_FORK"] = "1"
-        _, parent_cow = _deploy(0x40000)
-        child_cow = parent_cow.kernel.fork(parent_cow)
-        os.environ["REPRO_COW_FORK"] = "0"
-        _, parent_eager = _deploy(0x40000)
-        child_eager = parent_eager.kernel.fork(parent_eager)
-        divergences += snapshot_divergences(
-            architectural_snapshot(child_cow),
-            architectural_snapshot(child_eager),
-        )
-        # The children must also *run* identically (writes after the
-        # fork exercise the write-fault path vs. plain bytearray stores).
-        child_cow.call("handler", (3,))
-        child_eager.call("handler", (3,))
-        divergences += snapshot_divergences(
-            architectural_snapshot(child_cow),
-            architectural_snapshot(child_eager),
-        )
-        # ... and the parents must be isolated from those child writes.
-        divergences += snapshot_divergences(
-            architectural_snapshot(parent_cow),
-            architectural_snapshot(parent_eager),
-        )
-    finally:
-        os.environ.pop("REPRO_COW_FORK", None)
-    return divergences
 
 
 def measure(stack_size: int, forks: int) -> dict:
@@ -174,7 +135,7 @@ def run(forks: int) -> dict:
 
 
 def gate_sublinear(results: dict) -> list:
-    """Gate 2: deterministic page-copy checks (violations, ideally [])."""
+    """Gate 1: deterministic page-copy checks (violations, ideally [])."""
     summary = results["summary"]
     problems = []
     if summary["pages_copied_max"] != summary["pages_copied_min"]:
@@ -198,7 +159,7 @@ def gate_sublinear(results: dict) -> list:
 
 
 def gate_compare(results: dict, baseline: dict, threshold: float) -> list:
-    """Gate 3: wall-clock regressions vs. the committed baseline."""
+    """Gate 2: wall-clock regressions vs. the committed baseline."""
     summary = results["summary"]
     problems = []
     if summary["wall_ratio"] > WALL_RATIO_CAP:
@@ -227,13 +188,6 @@ def main(argv=None) -> int:
                         help="tolerated relative speedup drop "
                              "(default %(default)s)")
     args = parser.parse_args(argv)
-
-    divergences = check_cow_eager_identity()
-    if divergences:
-        print("FORK CORRECTNESS FAILURE: cow/eager children diverge")
-        for line in divergences:
-            print(f"  {line}")
-        return 2
 
     forks = 20 if args.smoke else 100
     results = run(forks)

@@ -3,8 +3,9 @@
 
 Measures simulated instructions/second on three workload shapes (ALU
 loop, call-dense recursion, canary-heavy P-SSP-OWF) down both interpreter
-paths, verifies the paths agree bit-for-bit on cycles and instruction
-counts while doing so, and reports the fast/slow speedup per workload.
+paths and reports the fast/slow speedup per workload.  That the paths
+agree bit for bit is gated by the invariance matrix
+(``tests/invariance``), which runs these sources with ``fast`` flipped.
 
 CI gating is deliberately done on the **speedup ratio**, not absolute
 instrs/sec: GitHub runners vary widely in single-core speed, but the
@@ -21,8 +22,7 @@ Usage::
     python benchmarks/bench_interpreter.py \
         --compare benchmarks/BENCH_interpreter.json  # gate
 
-Exit status: 0 on success, 1 on a gated regression, 2 if the fast and
-slow paths disagree (which is a correctness bug, not a perf problem).
+Exit status: 0 on success, 1 on a gated regression.
 """
 
 from __future__ import annotations
@@ -131,27 +131,18 @@ def run_path(source: str, scheme: str, *, fast: bool, repeats: int):
         "instructions_per_second": instructions / elapsed if elapsed else 0.0,
         "elapsed_seconds": elapsed,
         "measured_instructions": instructions,
-        # Accounting totals used for the fast-vs-slow differential check.
         "cycles": process.cpu.cycles,
         "total_instructions": process.cpu.instructions_executed,
-        "tsc": process.cpu.tsc.value,
-        "exit_status": result.exit_status,
     }
 
 
 def run_benchmark(smoke: bool, repeats: int) -> dict:
     results = {}
-    divergences = []
     for name, scheme, template, full_iter, smoke_iter in WORKLOADS:
         iterations = smoke_iter if smoke else full_iter
         source = template.replace("%ITER%", str(iterations))
         fast = run_path(source, scheme, fast=True, repeats=repeats)
         slow = run_path(source, scheme, fast=False, repeats=repeats)
-        for key in ("cycles", "total_instructions", "tsc", "exit_status"):
-            if fast[key] != slow[key]:
-                divergences.append(
-                    f"{name}: {key} fast={fast[key]} slow={slow[key]}"
-                )
         speedup = (
             fast["instructions_per_second"] / slow["instructions_per_second"]
             if slow["instructions_per_second"]
@@ -170,7 +161,6 @@ def run_benchmark(smoke: bool, repeats: int) -> dict:
         "mode": "smoke" if smoke else "full",
         "repeats": repeats,
         "workloads": results,
-        "divergences": divergences,
         "summary": {
             "min_speedup": min(w["speedup"] for w in results.values()),
             "geomean_speedup": _geomean(
@@ -252,12 +242,6 @@ def main(argv=None) -> int:
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-
-    if report["divergences"]:
-        print("FAST/SLOW DIVERGENCE (correctness bug):", file=sys.stderr)
-        for line in report["divergences"]:
-            print(f"  {line}", file=sys.stderr)
-        return 2
 
     if args.compare:
         failures = gate(report, Path(args.compare), args.threshold)

@@ -3,10 +3,11 @@
 
 Measures simulated instructions/second on the interpreter benchmark
 workloads (ALU loop, call-dense recursion, canary-heavy P-SSP-OWF) with
-the trace-JIT tier enabled and disabled on the *same* fast interpreter,
-verifies both against the slow per-step oracle bit-for-bit (full
-architectural snapshot: registers, flags, memory image, accounting), and
-reports the jit/nojit speedup per workload.
+the trace-JIT tier enabled and disabled on the *same* fast interpreter
+and reports the jit/nojit speedup per workload.  That both agree with
+the slow per-step oracle (full architectural snapshot) is gated by the
+invariance matrix (``tests/invariance``), which runs these sources with
+``REPRO_JIT`` and ``fast`` flipped.
 
 Like ``bench_interpreter.py``, CI gating is done on the **speedup
 ratio**, not absolute instrs/sec: the ratio between two configurations
@@ -23,8 +24,7 @@ Usage::
     python benchmarks/bench_jit.py \
         --compare benchmarks/BENCH_jit.json         # gate
 
-Exit status: 0 on success, 1 on a gated regression, 2 if any path
-diverges from the slow oracle (a correctness bug, not a perf problem).
+Exit status: 0 on success, 1 on a gated regression.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ from bench_interpreter import WORKLOADS, _geomean  # noqa: E402
 
 from repro.core.deploy import build, deploy  # noqa: E402
 from repro.kernel.kernel import Kernel  # noqa: E402
-from repro.machine.debug import (  # noqa: E402
-    architectural_snapshot,
-    snapshot_divergences,
-)
 
 #: Tolerated relative drop in a workload's jit/nojit speedup before the
 #: --compare gate fails the run.
@@ -59,13 +55,11 @@ DEFAULT_THRESHOLD = 0.20
 GEOMEAN_WORKLOADS = ("alu_loop", "call_dense")
 
 
-def run_config(source, scheme, *, fast, jit, repeats):
-    """Run ``source`` on one interpreter configuration; measure it."""
+def run_config(source, scheme, *, jit, repeats):
+    """Instructions/second of ``source`` on the fast path, JIT on or off."""
     kernel = Kernel(seed=42)
     binary = build(source, scheme, name="bench")
-    process, _ = deploy(
-        kernel, binary, scheme, cycle_limit=4_000_000_000, fast=fast
-    )
+    process, _ = deploy(kernel, binary, scheme, cycle_limit=4_000_000_000)
     process.cpu.jit = jit
     # Warm-up call: decode + trace formation happen here.
     warm = process.run()
@@ -77,48 +71,28 @@ def run_config(source, scheme, *, fast, jit, repeats):
         result = process.call("main")
         instructions += result.instructions
     elapsed = time.perf_counter() - start
-    return {
-        "instructions_per_second": instructions / elapsed if elapsed else 0.0,
-        "snapshot": architectural_snapshot(process),
-    }
+    return instructions / elapsed if elapsed else 0.0
 
 
 def run_benchmark(smoke: bool, repeats: int) -> dict:
     results = {}
-    divergences = []
     for name, scheme, template, full_iter, smoke_iter in WORKLOADS:
         iterations = smoke_iter if smoke else full_iter
         source = template.replace("%ITER%", str(iterations))
-        # The oracle must perform the *same* call sequence (warm-up plus
-        # timed repeats) or the accounting in the snapshot cannot match.
-        slow = run_config(source, scheme, fast=False, jit=False,
-                          repeats=repeats)
-        nojit = run_config(source, scheme, fast=True, jit=False,
-                           repeats=repeats)
-        jit = run_config(source, scheme, fast=True, jit=True,
-                         repeats=repeats)
-        for label, other in (("nojit", nojit), ("jit", jit)):
-            for diff in snapshot_divergences(slow["snapshot"],
-                                             other["snapshot"]):
-                divergences.append(f"{name}/{label}: {diff}")
-        speedup = (
-            jit["instructions_per_second"] / nojit["instructions_per_second"]
-            if nojit["instructions_per_second"]
-            else 0.0
-        )
+        nojit = run_config(source, scheme, jit=False, repeats=repeats)
+        jit = run_config(source, scheme, jit=True, repeats=repeats)
         results[name] = {
             "scheme": scheme,
             "iterations": iterations,
-            "jit_instructions_per_second": jit["instructions_per_second"],
-            "nojit_instructions_per_second": nojit["instructions_per_second"],
-            "speedup": speedup,
+            "jit_instructions_per_second": jit,
+            "nojit_instructions_per_second": nojit,
+            "speedup": jit / nojit if nojit else 0.0,
         }
     gated = [results[n]["speedup"] for n in GEOMEAN_WORKLOADS]
     return {
         "mode": "smoke" if smoke else "full",
         "repeats": repeats,
         "workloads": results,
-        "divergences": divergences,
         "summary": {
             "min_speedup": min(w["speedup"] for w in results.values()),
             "geomean_speedup": _geomean(
@@ -208,15 +182,8 @@ def main(argv=None) -> int:
     )
 
     if args.json:
-        # Snapshots are measurement scaffolding, not report content.
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-
-    if report["divergences"]:
-        print("JIT/ORACLE DIVERGENCE (correctness bug):", file=sys.stderr)
-        for line in report["divergences"][:20]:
-            print(f"  {line}", file=sys.stderr)
-        return 2
 
     if args.compare:
         failures = gate(report, Path(args.compare), args.threshold)

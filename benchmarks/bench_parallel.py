@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Parallel campaign scaling and build-cache effectiveness benchmark.
 
-Three claims from the parallel execution plane are measured and gated:
+Two claims from the parallel execution plane are measured and gated
+(that a ``--jobs N`` report is bit-identical to the serial one is gated
+by the invariance matrix, ``tests/invariance``):
 
-* **Determinism** — a fuzz campaign run with ``--jobs N`` must produce a
-  report bit-identical to the serial run.  A divergence is a correctness
-  bug (exit 2), not a perf problem, and is never waived.
 * **Scaling** — on a multi-core host the sharded campaign must actually
   go faster.  The speedup gate (default 2.5x at 4 workers) only arms
   when the host has at least ``--jobs`` cores; on smaller machines the
@@ -26,8 +25,7 @@ The committed ``benchmarks/BENCH_parallel.json`` records a reference
 run (including the core count it was measured on); CI regenerates the
 measurement on every push.
 
-Exit status: 0 on success, 1 if a perf/cache gate fails, 2 if the
-parallel report diverges from the serial one.
+Exit status: 0 on success, 1 if a perf/cache gate fails.
 """
 
 from __future__ import annotations
@@ -56,30 +54,22 @@ DEFAULT_MIN_HIT_RATE = 0.5
 
 
 def measure_scaling(budget: int, jobs: int) -> dict:
-    """Time the same campaign serially and sharded; check bit-identity."""
+    """Time the same campaign serially and sharded."""
     reset_build_cache()
     start = time.perf_counter()
-    serial = run_fuzz(budget, base_seed=2018, shrink=False, health=False)
+    run_fuzz(budget, base_seed=2018, shrink=False, health=False)
     serial_seconds = time.perf_counter() - start
 
     reset_build_cache()
     start = time.perf_counter()
-    pooled = run_fuzz(
-        budget, base_seed=2018, shrink=False, health=False, jobs=jobs
-    )
+    run_fuzz(budget, base_seed=2018, shrink=False, health=False, jobs=jobs)
     parallel_seconds = time.perf_counter() - start
-
-    identical = (
-        json.dumps(serial.to_json(), sort_keys=True)
-        == json.dumps(pooled.to_json(), sort_keys=True)
-    )
     return {
         "budget": budget,
         "jobs": jobs,
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
         "speedup": serial_seconds / parallel_seconds if parallel_seconds else 0.0,
-        "identical": identical,
     }
 
 
@@ -156,8 +146,7 @@ def main(argv=None) -> int:
         f"  fuzz {scaling['budget']} programs: "
         f"serial {scaling['serial_seconds']:.2f}s, "
         f"jobs={scaling['jobs']} {scaling['parallel_seconds']:.2f}s, "
-        f"speedup {scaling['speedup']:.2f}x, "
-        f"identical={scaling['identical']}"
+        f"speedup {scaling['speedup']:.2f}x"
     )
     print(
         f"  shrink of planted mutant '{cache['mutant']}': "
@@ -169,14 +158,6 @@ def main(argv=None) -> int:
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-
-    if not scaling["identical"]:
-        print(
-            "PARALLEL/SERIAL DIVERGENCE (correctness bug): the jobs="
-            f"{scaling['jobs']} report does not match the serial report",
-            file=sys.stderr,
-        )
-        return 2
 
     failed = False
     if cache["hit_rate"] < args.min_hit_rate:

@@ -8,9 +8,9 @@ workload shapes as ``bench_interpreter.py`` and gates the ratio —
 telemetry-on must stay within ``--threshold`` (default 5%) of
 telemetry-off throughput, by geomean across workloads.
 
-It also re-checks the bit-identity contract: enabling telemetry must not
-change a single cycle, instruction, or TSC tick of the simulated run —
-a divergence is a correctness bug (exit 2), not a perf problem.
+That enabling telemetry changes no cycle, instruction or TSC tick of
+the simulated run is gated by the invariance matrix
+(``tests/invariance``), which flips telemetry on every corpus.
 
 Usage::
 
@@ -23,8 +23,7 @@ run; CI regenerates the measurement and enforces the threshold on every
 push (the gate is absolute, so the reference file is a record, not a
 moving baseline).
 
-Exit status: 0 on success, 1 if overhead exceeds the threshold, 2 if
-telemetry-on and telemetry-off accounting diverge.
+Exit status: 0 on success, 1 if overhead exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -63,57 +62,36 @@ def run_measurement(source: str, scheme: str, *, enabled: bool, repeats: int):
         if warm.crashed:
             raise SystemExit(f"workload crashed under {scheme}: {warm.crash}")
         best_ips = 0.0
-        instructions = 0
         for _ in range(repeats):
             start = time.perf_counter()
             result = process.call("main")
             elapsed = time.perf_counter() - start
-            instructions = result.instructions
-            if elapsed and instructions / elapsed > best_ips:
-                best_ips = instructions / elapsed
-        return {
-            "instructions_per_second": best_ips,
-            "instructions_per_call": instructions,
-            "cycles": process.cpu.cycles,
-            "total_instructions": process.cpu.instructions_executed,
-            "tsc": process.cpu.tsc.value,
-            "exit_status": result.exit_status,
-        }
+            if elapsed and result.instructions / elapsed > best_ips:
+                best_ips = result.instructions / elapsed
+        return best_ips
     finally:
         telemetry.enable()
 
 
 def run_benchmark(smoke: bool, repeats: int) -> dict:
     results = {}
-    divergences = []
     for name, scheme, template, full_iter, smoke_iter in WORKLOADS:
         iterations = smoke_iter if smoke else full_iter
         source = template.replace("%ITER%", str(iterations))
         on = run_measurement(source, scheme, enabled=True, repeats=repeats)
         off = run_measurement(source, scheme, enabled=False, repeats=repeats)
-        for key in ("cycles", "total_instructions", "tsc", "exit_status"):
-            if on[key] != off[key]:
-                divergences.append(
-                    f"{name}: {key} telemetry-on={on[key]} off={off[key]}"
-                )
-        overhead = (
-            off["instructions_per_second"] / on["instructions_per_second"]
-            if on["instructions_per_second"]
-            else 0.0
-        )
         results[name] = {
             "scheme": scheme,
             "iterations": iterations,
-            "on_instructions_per_second": on["instructions_per_second"],
-            "off_instructions_per_second": off["instructions_per_second"],
-            "overhead_ratio": overhead,
+            "on_instructions_per_second": on,
+            "off_instructions_per_second": off,
+            "overhead_ratio": off / on if on else 0.0,
         }
     ratios = [w["overhead_ratio"] for w in results.values()]
     return {
         "mode": "smoke" if smoke else "full",
         "repeats": repeats,
         "workloads": results,
-        "divergences": divergences,
         "summary": {
             "max_overhead_ratio": max(ratios),
             "geomean_overhead_ratio": _geomean(ratios),
@@ -170,12 +148,6 @@ def main(argv=None) -> int:
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-
-    if report["divergences"]:
-        print("TELEMETRY ON/OFF DIVERGENCE (correctness bug):", file=sys.stderr)
-        for line in report["divergences"]:
-            print(f"  {line}", file=sys.stderr)
-        return 2
 
     if summary["geomean_overhead_ratio"] > args.threshold:
         print(

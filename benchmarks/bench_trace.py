@@ -1,34 +1,25 @@
 #!/usr/bin/env python
-"""Tracing plane benchmark: identity, replay fidelity, observer overhead.
+"""Tracing plane benchmark: replay fidelity and observer overhead.
 
-The trace plane's contract has three legs, and this benchmark gates all
-of them:
+This benchmark gates two legs of the trace plane's contract:
 
-1. **Jobs-N identity** — a traced campaign must produce byte-identical
-   trace JSON, Perfetto export, and fleet report whether it runs serial
-   or sharded (``--jobs N``).  Any drift is a determinism bug (exit 2).
-2. **Replay fidelity** — every post-mortem bundle captured during a
+1. **Replay fidelity** — every post-mortem bundle captured during a
    breachy slice must replay exactly: re-running the recorded slice
    identity regenerates the bundle byte-for-byte (exit 2 on drift).
-3. **Observer overhead** — two sub-gates:
+2. **Observer overhead** — the real work a tracer performs (span and
+   ring bookkeeping, counter deltas, COW page stats per fork) must stay
+   within ``--on-threshold`` (default 25%) of untraced fleet throughput
+   by geomean across schemes (exit 1 on regression).
 
-   * *traces off*: the tracing plane must leave the per-instruction
-     fast path untouched — an unattached server pays one ``is not
-     None`` compare per request, never per instruction.  This is
-     proven by re-running ``bench_telemetry``'s on/off measurement and
-     holding it to the same committed geomean ceiling
-     (``--off-threshold``, default 1.05; exit 1 on regression).
-   * *traces on*: attaching a tracer must not perturb the slice record
-     at all (exit 2 if it does), and the real work it performs — span
-     and ring bookkeeping, counter deltas, COW page stats per fork —
-     must stay within ``--on-threshold`` (default 25%) of untraced
-     fleet throughput by geomean across schemes (exit 1 on
-     regression).
+The rest of the contract is gated elsewhere.  The invariance matrix
+(``tests/invariance``) checks that traced runs reproduce the untraced
+report and that the trace and Perfetto bytes are the same under every
+``--jobs``, resume and interpreter setting.  The traces-off fast path
+is held to its ceiling by ``bench_telemetry.py``.
 
 Usage::
 
-    python benchmarks/bench_trace.py                  # full run
-    python benchmarks/bench_trace.py --smoke          # CI-sized run
+    python benchmarks/bench_trace.py                  # CI-sized run
     python benchmarks/bench_trace.py --json OUT.json  # write results
 
 The committed ``benchmarks/BENCH_trace.json`` records a reference run;
@@ -36,8 +27,8 @@ CI regenerates the measurement and enforces the gates on every push
 (the gates are absolute, so the reference file is a record, not a
 moving baseline).
 
-Exit status: 0 on success, 1 if either overhead gate fails, 2 on an
-identity, replay, or perturbation violation.
+Exit status: 0 on success, 1 if the overhead gate fails, 2 on a replay
+violation.
 """
 
 from __future__ import annotations
@@ -50,19 +41,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.fleet.campaign import run_fleet, run_fleet_slice  # noqa: E402
-from repro.trace import (  # noqa: E402
-    SliceTracer,
-    TraceConfig,
-    canonical_json,
-    replay_bundle,
-)
-
-import bench_telemetry  # noqa: E402
-
-#: Maximum tolerated traces-off fast-path slowdown — the same ceiling
-#: ``bench_telemetry.py`` commits to; the trace plane must not move it.
-DEFAULT_OFF_THRESHOLD = bench_telemetry.DEFAULT_THRESHOLD
+from repro.fleet.campaign import run_fleet_slice  # noqa: E402
+from repro.trace import SliceTracer, TraceConfig, replay_bundle  # noqa: E402
 
 #: Maximum tolerated geomean traced/untraced fleet slowdown (1.25 =
 #: 25%).  Tracing on does real bounded work per request; the gate
@@ -73,33 +53,6 @@ DEFAULT_ON_THRESHOLD = 1.25
 REPLAY_SCHEME = "ssp"
 REPLAY_SEED = 20180625
 REPLAY_BUDGET = 150
-
-
-def run_identity_check(jobs_list, *, budget, slice_requests) -> dict:
-    """Trace + report byte-identity across serial and sharded runs."""
-    violations = []
-    reference = None
-    trace_config = TraceConfig(series_interval=25)
-    for jobs in jobs_list:
-        report = run_fleet(
-            budget, schemes=("ssp", "pssp"), slice_requests=slice_requests,
-            jobs=jobs, trace=trace_config,
-        )
-        artifacts = {
-            "trace": canonical_json(report.trace.to_json()),
-            "perfetto": canonical_json(report.trace.perfetto()),
-            "report": canonical_json(report.to_json()),
-        }
-        if reference is None:
-            reference = (jobs_list[0], artifacts)
-            continue
-        for name, blob in artifacts.items():
-            if blob != reference[1][name]:
-                violations.append(
-                    f"{name} diverges between jobs={reference[0]} "
-                    f"and jobs={jobs}"
-                )
-    return {"jobs": list(jobs_list), "violations": violations}
 
 
 def run_replay_check() -> dict:
@@ -130,7 +83,6 @@ def run_replay_check() -> dict:
 def _time_slice(scheme, *, budget, traced, repeats):
     """Best-of-``repeats`` requests/second for one slice, on or off."""
     best_rps = 0.0
-    record = None
     for _ in range(repeats):
         tracer = (
             SliceTracer(scheme, REPLAY_SEED,
@@ -144,25 +96,20 @@ def _time_slice(scheme, *, budget, traced, repeats):
         elapsed = time.perf_counter() - start
         if elapsed and record.requests / elapsed > best_rps:
             best_rps = record.requests / elapsed
-    return best_rps, record
+    return best_rps
 
 
 def run_overhead_check(*, budget, repeats, schemes=("ssp", "pssp")) -> dict:
-    """Traced vs untraced fleet throughput, plus perturbation check."""
+    """Traced vs untraced fleet throughput."""
     workloads = {}
-    violations = []
     for scheme in schemes:
         run_fleet_slice(scheme, REPLAY_SEED, request_budget=20)  # warm-up
-        off_rps, off_record = _time_slice(
+        off_rps = _time_slice(
             scheme, budget=budget, traced=False, repeats=repeats
         )
-        on_rps, on_record = _time_slice(
+        on_rps = _time_slice(
             scheme, budget=budget, traced=True, repeats=repeats
         )
-        if on_record.to_json() != off_record.to_json():
-            violations.append(
-                f"{scheme}: tracing perturbed the slice record"
-            )
         workloads[scheme] = {
             "requests": budget,
             "on_requests_per_second": on_rps,
@@ -172,7 +119,6 @@ def run_overhead_check(*, budget, repeats, schemes=("ssp", "pssp")) -> dict:
     ratios = [w["overhead_ratio"] for w in workloads.values()]
     return {
         "workloads": workloads,
-        "violations": violations,
         "summary": {
             "max_overhead_ratio": max(ratios),
             "geomean_overhead_ratio": _geomean(ratios),
@@ -187,38 +133,18 @@ def _geomean(values):
     return product ** (1.0 / len(values)) if values else 0.0
 
 
-def run_benchmark(smoke: bool, repeats: int) -> dict:
-    if smoke:
-        jobs_list, budget, slice_requests = (1, 2), 200, 100
-        overhead_budget = 200
-    else:
-        jobs_list, budget, slice_requests = (1, 2, 4), 400, 100
-        overhead_budget = 200
-    # Timing legs run first: the identity leg churns six campaigns of
-    # garbage and would skew the throughput comparison behind it.
-    overhead = run_overhead_check(budget=overhead_budget, repeats=repeats)
-    fast_path = bench_telemetry.run_benchmark(smoke, repeats)
+def run_benchmark(repeats: int) -> dict:
+    # The timing leg runs first, before the replay leg's garbage.
+    overhead = run_overhead_check(budget=200, repeats=repeats)
     return {
-        "mode": "smoke" if smoke else "full",
         "repeats": repeats,
-        "identity": run_identity_check(
-            jobs_list, budget=budget, slice_requests=slice_requests
-        ),
         "replay": run_replay_check(),
         "overhead": overhead,
-        "fast_path": {
-            "divergences": fast_path["divergences"],
-            "summary": fast_path["summary"],
-        },
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized campaign (jobs {1,2}, smaller budgets)",
-    )
     parser.add_argument(
         "--repeats", type=int, default=3,
         help="timed slices per scheme per mode, best-of (default: 3)",
@@ -231,21 +157,13 @@ def main(argv=None) -> int:
         help="maximum geomean traced/untraced fleet slowdown "
              "(default: 1.25)",
     )
-    parser.add_argument(
-        "--off-threshold", type=float, default=DEFAULT_OFF_THRESHOLD,
-        help="maximum geomean telemetry fast-path slowdown with traces "
-             "off (default: 1.05, bench_telemetry's ceiling)",
-    )
     args = parser.parse_args(argv)
 
-    report = run_benchmark(args.smoke, args.repeats)
+    report = run_benchmark(args.repeats)
 
-    identity = report["identity"]
     replay = report["replay"]
     overhead = report["overhead"]
-    print(f"trace plane benchmark ({report['mode']}, repeats={args.repeats})")
-    print(f"identity: jobs {identity['jobs']} -> "
-          f"{'IDENTICAL' if not identity['violations'] else 'DIVERGED'}")
+    print(f"trace plane benchmark (repeats={args.repeats})")
     print(f"replay:   {replay['bundles']} bundle(s) -> "
           f"{'EXACT' if not replay['violations'] else 'DIVERGED'}")
     print(f"{'scheme':>10s} {'traced r/s':>12s} {'untraced r/s':>13s} "
@@ -263,44 +181,24 @@ def main(argv=None) -> int:
         f"max {(summary['max_overhead_ratio'] - 1) * 100:.2f}% "
         f"(threshold {(args.on_threshold - 1) * 100:.0f}%)"
     )
-    fast_path = report["fast_path"]["summary"]
-    print(
-        f"traces-off fast path geomean "
-        f"{(fast_path['geomean_overhead_ratio'] - 1) * 100:.2f}% "
-        f"(threshold {(args.off_threshold - 1) * 100:.0f}%)"
-    )
 
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
 
-    violations = (
-        identity["violations"] + replay["violations"]
-        + overhead["violations"] + report["fast_path"]["divergences"]
-    )
-    if violations:
-        print("TRACE DETERMINISM VIOLATION (correctness bug):",
-              file=sys.stderr)
-        for line in violations:
+    if replay["violations"]:
+        print("TRACE REPLAY VIOLATION (correctness bug):", file=sys.stderr)
+        for line in replay["violations"]:
             print(f"  {line}", file=sys.stderr)
         return 2
 
-    failed = []
     if summary["geomean_overhead_ratio"] > args.on_threshold:
-        failed.append(
-            f"tracing-on geomean {summary['geomean_overhead_ratio']:.4f} "
-            f"exceeds {args.on_threshold:.4f}"
+        print(
+            "TRACE OVERHEAD REGRESSION: tracing-on geomean "
+            f"{summary['geomean_overhead_ratio']:.4f} exceeds "
+            f"{args.on_threshold:.4f}",
+            file=sys.stderr,
         )
-    if fast_path["geomean_overhead_ratio"] > args.off_threshold:
-        failed.append(
-            f"traces-off fast path geomean "
-            f"{fast_path['geomean_overhead_ratio']:.4f} exceeds "
-            f"{args.off_threshold:.4f}"
-        )
-    if failed:
-        print("TRACE OVERHEAD REGRESSION:", file=sys.stderr)
-        for line in failed:
-            print(f"  {line}", file=sys.stderr)
         return 1
 
     print("trace plane gate passed")

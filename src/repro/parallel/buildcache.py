@@ -23,16 +23,12 @@ cached pristine image.  The cache is per-process, LRU-bounded, and its
 hit/miss/eviction counters feed the telemetry registry
 (``build_cache_*_total``) plus :meth:`BuildCache.stats` for the
 benchmark gate and the nightly cache-stats artifact.
-
-Environment knobs: ``REPRO_BUILD_CACHE=0`` disables the cache
-entirely; ``REPRO_BUILD_CACHE_SIZE`` overrides the entry bound.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
@@ -45,9 +41,6 @@ TOOLCHAIN_VERSION = 1
 
 #: Default LRU bound (entries, not bytes: images are small ASTs).
 DEFAULT_MAX_ENTRIES = 256
-
-_ENABLE_ENV = "REPRO_BUILD_CACHE"
-_SIZE_ENV = "REPRO_BUILD_CACHE_SIZE"
 
 
 def toolchain_fingerprint(spec) -> str:
@@ -73,13 +66,10 @@ def toolchain_fingerprint(spec) -> str:
 class BuildCache:
     """LRU cache of built binaries, content-addressed by build inputs."""
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is None:
-            max_entries = int(os.environ.get(_SIZE_ENV, DEFAULT_MAX_ENTRIES))
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.enabled = os.environ.get(_ENABLE_ENV, "1") != "0"
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -141,7 +131,6 @@ class BuildCache:
         """Plain-data counters for gates and artifacts."""
         lookups = self.hits + self.misses
         return {
-            "enabled": self.enabled,
             "entries": len(self._entries),
             "max_entries": self.max_entries,
             "hits": self.hits,
@@ -164,7 +153,7 @@ def build_cache() -> BuildCache:
 
 
 def reset_build_cache() -> BuildCache:
-    """Replace the process-wide cache (tests; env-knob re-reads)."""
+    """Replace the process-wide cache with an empty one."""
     global _DEFAULT
     _DEFAULT = BuildCache()
     return _DEFAULT

@@ -109,6 +109,13 @@ class TestDiskTier:
         runtime.install(process)
         assert process.run().state == "exited"
 
+    def test_disk_hit_counts_as_a_warm_lookup(self, tmp_path):
+        binary = build(SOURCE, "pssp")
+        SnapshotCache(directory=str(tmp_path)).image_for(binary, spec())
+        reader = SnapshotCache(directory=str(tmp_path))
+        reader.image_for(binary, spec())
+        assert reader.stats()["hit_rate"] == 1.0
+
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         binary = build(SOURCE, "pssp")
         writer = SnapshotCache(directory=str(tmp_path))
